@@ -180,11 +180,15 @@ struct ArrayState {
 
 /// The simulated CAM accelerator.
 ///
-/// `Clone` duplicates the full machine state — allocations, programmed
-/// subarray contents, scope stack, and statistics. The tape engine's
-/// batched executor clones a machine per worker shard after the setup
-/// phase, runs independent query iterations on each clone, and folds the
-/// shards' cost deltas back with [`CamMachine::absorb_delta`].
+/// `Clone` forks the machine: allocations, scope stack, statistics and
+/// search results are copied, while every subarray's programmed planes
+/// are shared copy-on-write (a write to either side copies that one
+/// subarray's planes first). A fork of a programmed machine thus costs
+/// O(subarrays), not a copy of every cell. The tape engine forks a
+/// machine per worker shard after the setup phase, runs independent
+/// query iterations on each fork, and folds the shards' cost deltas
+/// back with [`CamMachine::absorb_delta`]; a resident plan keeps one
+/// programmed machine and forks it for every run.
 #[derive(Debug, Clone)]
 pub struct CamMachine {
     tech: TechnologyModel,
@@ -992,6 +996,50 @@ mod tests {
             )
             .unwrap();
         assert!(r.matching_rows().is_empty());
+    }
+
+    #[test]
+    fn forks_share_planes_until_either_side_writes() {
+        let spec = SearchSpec::new(MatchKind::Best, Metric::Hamming);
+        let mut parent = machine();
+        let a = parent.alloc_chain().unwrap();
+        let b = parent.alloc_chain().unwrap();
+        parent.write_rows(a, 0, &[vec![1.0, 1.0, 0.0]]).unwrap();
+        parent.write_rows(b, 0, &[vec![0.0, 1.0, 1.0]]).unwrap();
+        let search = |m: &mut CamMachine, id: SubarrayId, q: &[f32]| {
+            let r = m.search(id, q, spec).unwrap();
+            (r.rows.clone(), r.distances.clone())
+        };
+        let before_a = search(&mut parent, a, &[0.0, 0.0, 1.0]);
+        let before_b = search(&mut parent, b, &[1.0, 0.0, 0.0]);
+
+        let mut fork = parent.clone();
+        for (p, f) in parent.subs.iter().zip(&fork.subs) {
+            assert!(p.shares_planes(f), "a fork shares the programmed planes");
+        }
+        // A search is not a write: the planes stay shared.
+        assert_eq!(search(&mut fork, a, &[0.0, 0.0, 1.0]), before_a);
+        assert!(parent.subs[a.0].shares_planes(&fork.subs[a.0]));
+
+        // Fork writes detach only the written subarray, and the parent
+        // keeps answering from its own contents.
+        fork.write_rows(a, 1, &[vec![0.0, 0.0, 1.0]]).unwrap();
+        assert!(!parent.subs[a.0].shares_planes(&fork.subs[a.0]));
+        assert!(parent.subs[b.0].shares_planes(&fork.subs[b.0]));
+        assert_eq!(search(&mut parent, a, &[0.0, 0.0, 1.0]), before_a);
+        assert_eq!(
+            search(&mut fork, a, &[0.0, 0.0, 1.0]),
+            (vec![0, 1], vec![3.0, 0.0])
+        );
+
+        // And the reverse: a parent write leaves the fork untouched.
+        parent.write_rows(b, 0, &[vec![1.0, 0.0, 0.0]]).unwrap();
+        assert!(!parent.subs[b.0].shares_planes(&fork.subs[b.0]));
+        assert_eq!(search(&mut fork, b, &[1.0, 0.0, 0.0]), before_b);
+        assert_eq!(
+            search(&mut parent, b, &[1.0, 0.0, 0.0]),
+            (vec![0], vec![0.0])
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::cell::CamCell;
 use c4cam_arch::{MatchKind, Metric};
 use c4cam_faults::{query_hash, SubarrayFaults};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// SIMD dispatch tier of the packed row kernels.
 ///
@@ -343,15 +343,17 @@ fn mismatch_binary_body(bits: &[u64], care: &[u64], qbits: &[u64], qlen: usize) 
     n
 }
 
-/// A single `rows × cols` CAM subarray.
+/// A subarray's programmed state: geometry, the cell grid and the
+/// match planes derived from it. Only writes change it, so machine
+/// forks share one copy behind an `Arc` (see [`Subarray`]).
 #[derive(Debug, Clone)]
-pub struct Subarray {
+struct Planes {
     rows: usize,
     cols: usize,
-    cells: Vec<CamCell>,
-    valid: Vec<bool>,
     /// `u64` words per packed plane row.
     words_per_row: usize,
+    cells: Vec<CamCell>,
+    valid: Vec<bool>,
     /// Value plane: one bit per binary cell (`One` = 1).
     bits: Vec<u64>,
     /// Care plane: 1 where the cell participates in matching.
@@ -367,6 +369,19 @@ pub struct Subarray {
     /// maintained at write time so a full-window search skips the
     /// per-row classification scan.
     kind_mix: [usize; 3],
+}
+
+/// A single `rows × cols` CAM subarray.
+///
+/// The programmed planes sit behind one `Arc` and are copied on write:
+/// `clone` shares them, and only [`Subarray::write_rows`] /
+/// [`Subarray::write_cells`] make them unique, once per call. Forking
+/// a programmed machine therefore costs O(subarrays), not a copy of
+/// every cell. Search-time state (the last result, the work counter
+/// and the fault tallies) stays per clone.
+#[derive(Debug, Clone)]
+pub struct Subarray {
+    planes: Arc<Planes>,
     /// Plane words (packed rows) / cells (fallback rows) visited by the
     /// most recent search.
     last_words: u64,
@@ -384,17 +399,19 @@ impl Subarray {
     pub fn new(rows: usize, cols: usize) -> Subarray {
         let words_per_row = cols.div_ceil(64);
         Subarray {
-            rows,
-            cols,
-            cells: vec![CamCell::DontCare; rows * cols],
-            valid: vec![false; rows],
-            words_per_row,
-            bits: vec![0; rows * words_per_row],
-            care: vec![0; rows * words_per_row],
-            care_bytes: vec![0; rows * cols],
-            levels: vec![0; rows * cols],
-            kinds: vec![RowKind::Binary; rows],
-            kind_mix: [0; 3],
+            planes: Arc::new(Planes {
+                rows,
+                cols,
+                words_per_row,
+                cells: vec![CamCell::DontCare; rows * cols],
+                valid: vec![false; rows],
+                bits: vec![0; rows * words_per_row],
+                care: vec![0; rows * words_per_row],
+                care_bytes: vec![0; rows * cols],
+                levels: vec![0; rows * cols],
+                kinds: vec![RowKind::Binary; rows],
+                kind_mix: [0; 3],
+            }),
             last_words: 0,
             last_result: None,
             faults: None,
@@ -414,17 +431,24 @@ impl Subarray {
 
     /// Row count.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.planes.rows
     }
 
     /// Column count.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.planes.cols
     }
 
     /// Number of programmed (valid) rows.
     pub fn valid_rows(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
+        self.planes.valid.iter().filter(|&&v| v).count()
+    }
+
+    /// Whether `self` and `other` share one copy of the programmed
+    /// planes (a fork neither side has written since).
+    #[cfg(test)]
+    pub(crate) fn shares_planes(&self, other: &Subarray) -> bool {
+        Arc::ptr_eq(&self.planes, &other.planes)
     }
 
     /// Plane words the most recent search visited — the work metric
@@ -448,23 +472,23 @@ impl Subarray {
         data: &[Vec<f32>],
         bits_per_cell: u32,
     ) -> Result<(), String> {
-        if row_offset + data.len() > self.rows {
+        let (rows, cols) = (self.rows(), self.cols());
+        if row_offset + data.len() > rows {
             return Err(format!(
-                "write of {} rows at offset {row_offset} exceeds {} rows",
+                "write of {} rows at offset {row_offset} exceeds {rows} rows",
                 data.len(),
-                self.rows
             ));
         }
         for (i, row) in data.iter().enumerate() {
-            if row.len() > self.cols {
+            if row.len() > cols {
                 return Err(format!(
-                    "row {} has {} elements but subarray has {} columns",
+                    "row {} has {} elements but subarray has {cols} columns",
                     row_offset + i,
                     row.len(),
-                    self.cols
                 ));
             }
         }
+        let planes = Arc::make_mut(&mut self.planes);
         let mut faults = self.faults.take();
         let levels_max = if bits_per_cell <= 1 {
             1u8
@@ -473,8 +497,8 @@ impl Subarray {
         };
         for (i, row) in data.iter().enumerate() {
             let r = row_offset + i;
-            for c in 0..self.cols {
-                self.cells[r * self.cols + c] = match row.get(c) {
+            for c in 0..cols {
+                planes.cells[r * cols + c] = match row.get(c) {
                     Some(&v) => {
                         let cell = CamCell::encode(v, bits_per_cell);
                         match faults.as_deref_mut() {
@@ -505,7 +529,7 @@ impl Subarray {
                     None => CamCell::DontCare,
                 };
             }
-            self.mark_valid_and_repack(r);
+            planes.mark_valid_and_repack(r);
         }
         self.faults = faults;
         Ok(())
@@ -516,22 +540,26 @@ impl Subarray {
     /// # Errors
     /// Fails if the rows don't fit or a row is wider than the subarray.
     pub fn write_cells(&mut self, row_offset: usize, data: &[Vec<CamCell>]) -> Result<(), String> {
-        if row_offset + data.len() > self.rows {
+        let (rows, cols) = (self.rows(), self.cols());
+        if row_offset + data.len() > rows {
             return Err("cell write exceeds subarray rows".to_string());
         }
+        if data.iter().any(|row| row.len() > cols) {
+            return Err("cell row wider than subarray".to_string());
+        }
+        let planes = Arc::make_mut(&mut self.planes);
         for (i, row) in data.iter().enumerate() {
-            if row.len() > self.cols {
-                return Err("cell row wider than subarray".to_string());
-            }
             let r = row_offset + i;
-            for c in 0..self.cols {
-                self.cells[r * self.cols + c] = row.get(c).copied().unwrap_or(CamCell::DontCare);
+            for c in 0..cols {
+                planes.cells[r * cols + c] = row.get(c).copied().unwrap_or(CamCell::DontCare);
             }
-            self.mark_valid_and_repack(r);
+            planes.mark_valid_and_repack(r);
         }
         Ok(())
     }
+}
 
+impl Planes {
     /// Mark row `r` programmed, rebuild its planes, and keep the
     /// valid-row kind counts in step.
     fn mark_valid_and_repack(&mut self, r: usize) {
@@ -872,7 +900,9 @@ impl Subarray {
             window, query, metric, int_mode, wta_window, qh, faults, scratch, result,
         )
     }
+}
 
+impl Subarray {
     /// Search all selected valid rows against `query` using the packed
     /// match planes (bit-identical to [`Subarray::search_naive`]).
     ///
@@ -895,11 +925,12 @@ impl Subarray {
         wta_window: Option<u32>,
         scratch: &mut SearchScratch,
     ) -> Result<&SearchResult, String> {
-        if query.len() > self.cols {
+        let p = &*self.planes;
+        if query.len() > p.cols {
             return Err(format!(
                 "query width {} exceeds {} columns",
                 query.len(),
-                self.cols
+                p.cols
             ));
         }
         // One tier decision per search; the whole row sweep below is
@@ -910,19 +941,19 @@ impl Subarray {
             None => env_tier().clone()?,
         };
         let qlen = query.len();
-        let window = selection.range(self.rows);
+        let window = selection.range(p.rows);
         // Full-window searches (the common case) read the write-time
         // kind counts; selective windows still scan their row range.
-        let (has_binary, has_levels) = if window == (0..self.rows) {
+        let (has_binary, has_levels) = if window == (0..p.rows) {
             (
-                self.kind_mix[RowKind::Binary as usize] > 0,
-                self.kind_mix[RowKind::Levels as usize] > 0,
+                p.kind_mix[RowKind::Binary as usize] > 0,
+                p.kind_mix[RowKind::Levels as usize] > 0,
             )
         } else {
             let (mut has_binary, mut has_levels) = (false, false);
             for r in window.clone() {
-                if self.valid[r] {
-                    match self.kinds[r] {
+                if p.valid[r] {
+                    match p.kinds[r] {
                         RowKind::Binary => has_binary = true,
                         RowKind::Levels => has_levels = true,
                         RowKind::Other => {}
@@ -1005,7 +1036,7 @@ impl Subarray {
         };
         let mut result = self.last_result.take().unwrap_or_default();
         result.clear();
-        let words = self.sweep_rows(
+        let words = p.sweep_rows(
             tier,
             window,
             query,
@@ -1040,11 +1071,12 @@ impl Subarray {
         threshold: f64,
         wta_window: Option<u32>,
     ) -> Result<&SearchResult, String> {
-        if query.len() > self.cols {
+        let p = &*self.planes;
+        if query.len() > p.cols {
             return Err(format!(
                 "query width {} exceeds {} columns",
                 query.len(),
-                self.cols
+                p.cols
             ));
         }
         let mut faults = self.faults.take();
@@ -1053,11 +1085,11 @@ impl Subarray {
             _ => None,
         };
         let mut result = SearchResult::default();
-        for r in selection.range(self.rows) {
-            if !self.valid[r] {
+        for r in selection.range(p.rows) {
+            if !p.valid[r] {
                 continue;
             }
-            let mut dist = self.row_distance_naive(r, query, metric);
+            let mut dist = p.row_distance_naive(r, query, metric);
             if let Some(window) = wta_window {
                 if metric == Metric::Hamming {
                     dist = dist.min(f64::from(window));

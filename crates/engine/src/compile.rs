@@ -73,6 +73,9 @@ pub struct Tape {
     /// sharded across worker threads *within* one query (see
     /// [`Compiler`] docs for the conditions).
     pub(crate) shard_loops: Vec<usize>,
+    /// Positions of the arguments the setup prefix (every instruction
+    /// before the query loop) reads; empty without a query loop.
+    pub(crate) setup_args: Vec<usize>,
     pub(crate) func: String,
 }
 
@@ -115,6 +118,13 @@ impl Tape {
     /// Number of function arguments the tape expects.
     pub fn num_args(&self) -> usize {
         self.arg_slots.len()
+    }
+
+    /// Positions of the arguments the setup prefix reads — the inputs
+    /// a [`Resident`](crate::Resident) setup is keyed on. Empty when
+    /// no query loop was detected.
+    pub fn setup_args(&self) -> &[usize] {
+        &self.setup_args
     }
 
     pub(crate) fn attach(&self, pc: usize, e: EngineError) -> EngineError {
@@ -167,6 +177,88 @@ pub(crate) fn inst_defs(inst: &Inst, mut f: impl FnMut(Slot)) {
         | Inst::MergePartial { .. }
         | Inst::MergeLevel { .. }
         | Inst::PhaseMarker { .. } => {}
+    }
+}
+
+/// Visit every slot an instruction reads.
+pub(crate) fn inst_uses(inst: &Inst, mut f: impl FnMut(Slot)) {
+    match inst {
+        Inst::ConstInt { .. }
+        | Inst::ConstFloat { .. }
+        | Inst::ConstBool { .. }
+        | Inst::ConstTensor { .. }
+        | Inst::Jump { .. }
+        | Inst::LoopNext { .. }
+        | Inst::AllocBuffer { .. }
+        | Inst::AllocBank { .. }
+        | Inst::MergeLevel { .. }
+        | Inst::PhaseMarker { .. } => {}
+        Inst::Copy { src, .. }
+        | Inst::CastIntLike { src, .. }
+        | Inst::AllocCopy { src, .. }
+        | Inst::ToTensor { src, .. } => f(*src),
+        Inst::IntBin { lhs, rhs, .. }
+        | Inst::FloatBin { lhs, rhs, .. }
+        | Inst::IntCmp { lhs, rhs, .. } => {
+            f(*lhs);
+            f(*rhs);
+        }
+        Inst::IntBinImm { lhs, .. } | Inst::IntCmpImm { lhs, .. } => f(*lhs),
+        Inst::JumpIfNot { cond, .. } => f(*cond),
+        Inst::LoopEnter { lb, ub, step, .. } => {
+            f(*lb);
+            f(*ub);
+            f(*step);
+        }
+        Inst::Return { values } => values.iter().copied().for_each(f),
+        Inst::ExtractSlice { src, offsets, .. } => {
+            f(*src);
+            for o in offsets {
+                if let SliceOffset::Dynamic(s) = o {
+                    f(*s);
+                }
+            }
+        }
+        Inst::AllocMat { parent, .. }
+        | Inst::AllocArray { parent, .. }
+        | Inst::AllocSubarray { parent, .. } => f(*parent),
+        Inst::StoreHandle { table, pos, sub } => {
+            f(*table);
+            f(*pos);
+            f(*sub);
+        }
+        Inst::LoadHandle { table, pos, .. } => {
+            f(*table);
+            f(*pos);
+        }
+        Inst::WriteValue { sub, data, row_off } => {
+            f(*sub);
+            f(*data);
+            f(*row_off);
+        }
+        Inst::Search(s) => {
+            f(s.sub);
+            f(s.query);
+            if let Some((start, len)) = s.selective {
+                f(start);
+                f(len);
+            }
+        }
+        Inst::Read { sub, .. } => f(*sub),
+        Inst::MergePartial {
+            acc,
+            vals,
+            idx,
+            q,
+            offset,
+        } => {
+            f(*acc);
+            f(*vals);
+            f(*idx);
+            f(*q);
+            f(*offset);
+        }
+        Inst::Reduce(r) => f(r.acc),
     }
 }
 
@@ -252,6 +344,7 @@ impl<'m> Compiler<'m> {
             preload: Vec::new(),
             query_loop: self.query_loop,
             shard_loops: self.shard_loops,
+            setup_args: Vec::new(),
             func: self.func,
         };
         // Peephole pass: fold constants into immediates and strip the
@@ -274,6 +367,15 @@ impl<'m> Compiler<'m> {
                 reads_confined_to_body(&tape.insts, enter, exit - 1)
             })
             .collect();
+        if let Some(ql) = tape.query_loop {
+            let mut read = vec![false; tape.n_slots];
+            for inst in &tape.insts[..ql.enter] {
+                inst_uses(inst, |s| read[s as usize] = true);
+            }
+            tape.setup_args = (0..tape.arg_slots.len())
+                .filter(|&i| read[tape.arg_slots[i] as usize])
+                .collect();
+        }
         Ok(tape)
     }
 
@@ -989,6 +1091,14 @@ mod tests {
             .insts
             .iter()
             .any(|i| matches!(i, Inst::LoopEnter { parallel: true, .. })));
+    }
+
+    #[test]
+    fn setup_reads_the_stored_set_but_not_the_queries() {
+        // `forward(queries, stored)`: setup programs the stored set;
+        // only the query loop reads the queries.
+        let tape = Tape::compile(&lowered_hdc(), "forward").unwrap();
+        assert_eq!(tape.setup_args(), &[1]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`CamMachine`](c4cam_camsim::CamMachine) without ever re-walking IR
 //! trees, string-matching op names, or hashing value ids.
 //!
-//! Two execution modes:
+//! Three execution modes:
 //!
 //! * [`Tape::run`] — single-threaded. Drives the machine in exactly the
 //!   tree-walking interpreter's call order, so outputs **and**
@@ -25,6 +25,12 @@
 //!   buffers and per-shard [`ExecStats`](c4cam_camsim::ExecStats)
 //!   deterministically. Outputs stay bit-identical; latency/energy
 //!   totals agree with the sequential run up to float summation order.
+//! * [`Tape::run_resident`] — the steady state. The first run keeps
+//!   its programmed device and the slot file at the query loop's entry
+//!   as a [`Resident`] setup ([`Tape::run_keeping_setup`]); later runs
+//!   with the same setup inputs fork it copy-on-write and execute only
+//!   the query loop, merge and epilogue — with the statistics of a
+//!   full run.
 //!
 //! ## Example
 //!
@@ -65,6 +71,7 @@ pub mod pool;
 pub mod trace;
 mod vm;
 
+pub use batch::Resident;
 pub use c4cam_faults::{RetryPolicy, ShardChaos};
 pub use compile::Tape;
 pub use error::{EngineError, ShardPanic};

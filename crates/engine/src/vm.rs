@@ -10,7 +10,7 @@
 
 use crate::compile::Tape;
 use crate::error::EngineError;
-use crate::frozen::{freeze, thaw, Frozen};
+use crate::frozen::{freeze_slots, thaw_slots, Frozen};
 use crate::isa::{FloatBinOp, Inst, IntBinOp, PreConst, SliceOffset, Slot};
 use crate::trace::{Trace, TraceOp, TraceState};
 use c4cam_camsim::{CamDevice, ExecStats, RowSelection, SearchSpec, SubarrayId};
@@ -375,7 +375,7 @@ impl<'t> TapeVm<'t> {
         }
         let next = exit - 1;
         let shard_count = self.shard_threads.min(ivs.len());
-        let snapshot: Vec<Frozen> = self.slots.iter().map(freeze).collect();
+        let snapshot: Vec<Frozen> = freeze_slots(&self.slots);
         let chunk = ivs.len().div_ceil(shard_count);
         let chunks: Vec<&[i64]> = ivs.chunks(chunk).collect();
         // Seed each worker with a slice of the merge arena; replay
@@ -408,7 +408,7 @@ impl<'t> TapeVm<'t> {
                         }
                         let lane = shard as u32 + 1;
                         let start_ns = telemetry.now_ns();
-                        let slots: Vec<Value> = snapshot.iter().map(thaw).collect();
+                        let slots = thaw_slots(snapshot);
                         let mut vm = TapeVm::with_slots(tape, slots);
                         vm.set_telemetry_lane(telemetry.clone(), lane);
                         vm.merge_log = Some(Vec::new());
@@ -823,9 +823,10 @@ impl<'t> TapeVm<'t> {
             } => {
                 let (src, sizes, out) = (*src, *sizes, *out);
                 // Steady-state loop iterations overwrite the previous
-                // slice's tensor in place instead of allocating (slot
-                // tensors are uniquely owned — clones are deep). Never
-                // while tracing: the trace wants fresh value ids.
+                // slice's tensor in place instead of allocating (a
+                // tensor still shared with a clone is copied on its
+                // first write instead). Never while tracing: the trace
+                // wants fresh value ids.
                 let recycled = if self.trace.is_none() && src != out {
                     match std::mem::replace(&mut self.slots[out as usize], Value::Int(0)) {
                         Value::Tensor(t) if t.shape() == sizes => Some(t),
@@ -1168,6 +1169,7 @@ impl<'t> TapeVm<'t> {
         // a fresh allocation is already zero-padded.
         let stale = recycled.is_some();
         let mut out = recycled.unwrap_or_else(|| Tensor::zeros(vec![r, c]));
+        let dst = out.data_mut();
         for i in 0..r {
             let si = off0 + i;
             let copy = if si >= sr {
@@ -1178,11 +1180,11 @@ impl<'t> TapeVm<'t> {
             let dst_start = i * c;
             if copy > 0 {
                 let src_start = si * sc + off1;
-                out.data_mut()[dst_start..dst_start + copy]
+                dst[dst_start..dst_start + copy]
                     .copy_from_slice(&src.data()[src_start..src_start + copy]);
             }
             if stale && copy < c {
-                out.data_mut()[dst_start + copy..dst_start + c].fill(0.0);
+                dst[dst_start + copy..dst_start + c].fill(0.0);
             }
             if !stale && copy == 0 {
                 break;

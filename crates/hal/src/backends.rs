@@ -1,8 +1,13 @@
 //! The four standard backends: `walk`, `tape`, `simd`, `trace`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+
+use c4cam_arch::tech::TechnologyModel;
 use c4cam_arch::ArchSpec;
 use c4cam_camsim::{CamDevice, CamMachine};
-use c4cam_engine::Tape;
+use c4cam_engine::{Resident, Tape};
+use c4cam_faults::FaultConfig;
 use c4cam_ir::Module;
 use c4cam_runtime::{Executor, Value};
 use c4cam_telemetry::{cat, ArgValue};
@@ -104,11 +109,40 @@ impl Plan for WalkPlan {
 
 /// The flat CAM-ISA tape engine with query-loop and intra-query
 /// sharding.
+///
+/// Its plans keep the CAM programmed between runs: the first
+/// execution keeps its post-setup machine resident, and a later
+/// execution with the same setup inputs and machine-shaping options
+/// forks it and runs only the query phase (see
+/// [`c4cam_engine::Resident`]). Each plan therefore holds one
+/// programmed machine in memory for as long as it lives.
 pub struct TapeBackend;
 
 struct TapePlan {
     tape: Tape,
     spec: ArchSpec,
+    /// The latest cold run's setup, with the options that shaped it.
+    resident: Mutex<Option<ResidentSetup>>,
+    /// Runs served from the resident setup so far.
+    hits: AtomicU64,
+}
+
+/// A resident setup and the options that shaped its machine.
+struct ResidentSetup {
+    tech: Option<TechnologyModel>,
+    wta_window: Option<u32>,
+    faults: Option<FaultConfig>,
+    setup: Arc<Resident<CamMachine>>,
+}
+
+impl ResidentSetup {
+    /// Whether a run with `args` under `opts` may start from this setup.
+    fn fits(&self, args: &[Value], opts: &ExecOptions) -> bool {
+        self.tech == opts.tech
+            && self.wta_window == opts.wta_window
+            && self.faults == opts.faults
+            && self.setup.accepts(args)
+    }
 }
 
 impl Backend for TapeBackend {
@@ -137,6 +171,8 @@ impl Backend for TapeBackend {
         Ok(Box::new(TapePlan {
             tape: Tape::compile(module, func)?,
             spec: spec.clone(),
+            resident: Mutex::new(None),
+            hits: AtomicU64::new(0),
         }))
     }
 }
@@ -144,16 +180,54 @@ impl Backend for TapeBackend {
 impl Plan for TapePlan {
     fn execute(&self, args: &[Value], opts: &ExecOptions) -> Result<Execution, HalError> {
         let mut span = opts.telemetry.span("backend:tape", cat::BACKEND);
-        span.arg("threads", ArgValue::Int(opts.threads.max(1) as i64));
-        let mut machine = machine_for(&self.spec, opts);
-        let outputs = self.tape.run_batched_resilient(
-            &mut machine,
-            args,
-            opts.threads.max(1),
-            &opts.telemetry,
-            &opts.retry,
-            opts.chaos,
-        )?;
+        let threads = opts.threads.max(1);
+        span.arg("threads", ArgValue::Int(threads as i64));
+        let resident = self
+            .resident
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .filter(|r| r.fits(args, opts))
+            .map(|r| Arc::clone(&r.setup));
+        let (outputs, machine) = match resident {
+            Some(setup) => {
+                span.arg("setup", ArgValue::Str("resident".to_string()));
+                let hits = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
+                opts.telemetry.counter("plan.resident_hits", hits as f64);
+                self.tape.run_resident(
+                    &setup,
+                    args,
+                    threads,
+                    &opts.telemetry,
+                    &opts.retry,
+                    opts.chaos,
+                )?
+            }
+            None => {
+                // This run's setup replaces the resident one: release
+                // it first, so a miss never holds two programmed CAMs.
+                *self.resident.lock().unwrap_or_else(PoisonError::into_inner) = None;
+                let mut machine = machine_for(&self.spec, opts);
+                let (outputs, setup) = self.tape.run_keeping_setup(
+                    &mut machine,
+                    args,
+                    threads,
+                    &opts.telemetry,
+                    &opts.retry,
+                    opts.chaos,
+                )?;
+                if let Some(setup) = setup {
+                    *self.resident.lock().unwrap_or_else(PoisonError::into_inner) =
+                        Some(ResidentSetup {
+                            tech: opts.tech.clone(),
+                            wta_window: opts.wta_window,
+                            faults: opts.faults.clone(),
+                            setup: Arc::new(setup),
+                        });
+                }
+                (outputs, machine)
+            }
+        };
         span.finish();
         Ok(Execution {
             outputs,

@@ -279,10 +279,13 @@ pub type SharedPlan = Arc<dyn Plan>;
 /// An executable artifact produced by [`Backend::compile`], reusable
 /// across calls with different inputs and [`ExecOptions`].
 ///
-/// Plans are immutable after compilation and `Send + Sync`: per-run
-/// state (the simulated machine, slot frames) is built inside
-/// [`Plan::execute`], so one plan may execute concurrently from many
-/// threads — each execution is independent and deterministic.
+/// Plans are `Send + Sync`: per-run state (the simulated machine, slot
+/// frames) is built inside [`Plan::execute`] or forked from state the
+/// plan keeps, so one plan may execute concurrently from many threads —
+/// each execution is independent and deterministic. The `tape` plan
+/// keeps its last programmed machine resident and forks it for runs
+/// with the same setup inputs (see [`TapeBackend`]); what a run
+/// reports never depends on whether it hit.
 pub trait Plan: Send + Sync {
     /// Run the plan against `args`.
     ///

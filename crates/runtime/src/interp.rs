@@ -774,6 +774,7 @@ impl<'a> Executor<'a> {
         let (sr, sc) = (src.shape()[0], src.shape()[1]);
         // Clamped + zero-padded window (see tensor_ops docs).
         let mut out = Tensor::zeros(vec![r, c]);
+        let dst = out.data_mut();
         for i in 0..r {
             let si = off0 + i;
             if si >= sr {
@@ -785,7 +786,7 @@ impl<'a> Executor<'a> {
             }
             let src_start = si * sc + off1;
             let dst_start = i * c;
-            out.data_mut()[dst_start..dst_start + copy]
+            dst[dst_start..dst_start + copy]
                 .copy_from_slice(&src.data()[src_start..src_start + copy]);
         }
         Ok(out)
@@ -806,10 +807,11 @@ impl<'a> Executor<'a> {
             return Err(ExecError::new("cosine div operand shapes do not line up"));
         }
         let mut out = a.clone();
+        let od = out.data_mut();
         for i in 0..nq {
             for j in 0..ns {
                 let denom = n1.data()[i] * n2.data()[j];
-                out.data_mut()[i * ns + j] /= denom;
+                od[i * ns + j] /= denom;
             }
         }
         Ok(out)
@@ -949,9 +951,10 @@ fn broadcast_sub(a: &Tensor, b: &Tensor) -> EResult<Tensor> {
     if a.rank() == 2 && b.rank() == 2 && b.shape()[0] == 1 && a.shape()[1] == b.shape()[1] {
         let (n, d) = (a.shape()[0], a.shape()[1]);
         let mut out = a.clone();
+        let od = out.data_mut();
         for i in 0..n {
             for j in 0..d {
-                out.data_mut()[i * d + j] -= b.data()[j];
+                od[i * d + j] -= b.data()[j];
             }
         }
         return Ok(out);
@@ -976,6 +979,7 @@ fn score_matrix(stored: &Tensor, query: &Tensor, metric: &str, finalized: bool) 
     }
     let (ns, nq) = (s.shape()[0], q.shape()[0]);
     let mut out = Tensor::zeros(vec![nq, ns]);
+    let od = out.data_mut();
     for i in 0..nq {
         let qr = q.row(i).map_err(te)?;
         for j in 0..ns {
@@ -996,17 +1000,18 @@ fn score_matrix(stored: &Tensor, query: &Tensor, metric: &str, finalized: bool) 
                 }
                 other => return Err(ExecError::new(format!("unknown metric {other}"))),
             };
-            out.data_mut()[i * ns + j] = v as f32;
+            od[i * ns + j] = v as f32;
         }
     }
     if metric == "cos" && finalized {
         // Normalize by the norms of query and stored rows.
         let mut normalized = out.clone();
+        let nd = normalized.data_mut();
         for i in 0..nq {
             let qn = Tensor::from_slice(q.row(i).map_err(te)?).norm_l2();
             for j in 0..ns {
                 let sn = Tensor::from_slice(s.row(j).map_err(te)?).norm_l2();
-                normalized.data_mut()[i * ns + j] /= qn * sn;
+                nd[i * ns + j] /= qn * sn;
             }
         }
         return Ok(normalized);
@@ -1027,9 +1032,10 @@ fn merge_partial(mut acc: Tensor, partial: &Tensor, col_off: i64) -> EResult<Ten
     if off + pc > cols {
         return Err(ExecError::new("merge_partial writes past accumulator"));
     }
+    let dst = acc.data_mut();
     for i in 0..nq {
         for j in 0..pc {
-            acc.data_mut()[i * cols + off + j] += partial.data()[i * pc + j];
+            dst[i * cols + off + j] += partial.data()[i * pc + j];
         }
     }
     Ok(acc)

@@ -121,8 +121,9 @@ pub fn merge_partial_rows(
     if q >= acc.shape()[0] {
         return Err("merge query index out of bounds".to_string());
     }
+    let (dst, vals, idx) = (acc.data_mut(), vals.data(), idx.data());
     for j in 0..vals.len() {
-        let stored = idx.data()[j];
+        let stored = idx[j];
         if stored < 0.0 {
             continue;
         }
@@ -132,8 +133,7 @@ pub fn merge_partial_rows(
                 "merge writes column {col} outside accumulator width {cols}"
             ));
         }
-        let off = q * cols + col as usize;
-        acc.data_mut()[off] += vals.data()[j];
+        dst[q * cols + col as usize] += vals[j];
     }
     Ok(())
 }

@@ -60,7 +60,8 @@ impl Value {
         }
     }
 
-    /// Copy out the tensor content of a tensor *or* buffer value.
+    /// The tensor content of a tensor *or* buffer value, as a
+    /// copy-on-write clone: later writes to the buffer do not reach it.
     pub fn snapshot_tensor(&self) -> Option<Tensor> {
         match self {
             Value::Tensor(t) => Some(t.clone()),

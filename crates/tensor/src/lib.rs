@@ -1,6 +1,6 @@
 //! # c4cam-tensor — minimal dense tensors
 //!
-//! A small owned-storage tensor library backing the C4CAM runtime, the
+//! A small copy-on-write tensor library backing the C4CAM runtime, the
 //! host reference executor and the workloads. It deliberately implements
 //! only what the paper's kernels need: row-major `f32` tensors with
 //! matmul, transpose, elementwise arithmetic, vector norms, `topk` and

@@ -244,10 +244,11 @@ impl Tensor {
         if row_off + pr > m || col_off + pc > n {
             return Err(TensorError::new("patch exceeds tensor bounds"));
         }
+        let data = self.data_mut();
         for i in 0..pr {
             let dst = (row_off + i) * n + col_off;
             let src = i * pc;
-            self.data_mut()[dst..dst + pc].copy_from_slice(&patch.data()[src..src + pc]);
+            data[dst..dst + pc].copy_from_slice(&patch.data()[src..src + pc]);
         }
         Ok(())
     }

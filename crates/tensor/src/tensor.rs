@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error type for all fallible tensor operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,10 +28,16 @@ impl fmt::Display for TensorError {
 impl Error for TensorError {}
 
 /// A dense, row-major `f32` tensor of arbitrary rank.
+///
+/// The element buffer is shared copy-on-write: `clone` shares it (an
+/// `Arc` increment, not a copy), and [`Tensor::data_mut`] copies it
+/// only when another clone still holds it. A large stored set can thus
+/// pass through argument lists, slot files and snapshots without being
+/// duplicated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -39,7 +46,7 @@ impl Tensor {
         let n = shape.iter().product();
         Tensor {
             shape,
-            data: vec![0.0; n],
+            data: Arc::new(vec![0.0; n]),
         }
     }
 
@@ -48,7 +55,7 @@ impl Tensor {
         let n = shape.iter().product();
         Tensor {
             shape,
-            data: vec![value; n],
+            data: Arc::new(vec![value; n]),
         }
     }
 
@@ -66,14 +73,17 @@ impl Tensor {
                 data.len()
             )));
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor {
+            shape,
+            data: Arc::new(data),
+        })
     }
 
     /// Rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Tensor {
         Tensor {
             shape: vec![data.len()],
-            data: data.to_vec(),
+            data: Arc::new(data.to_vec()),
         }
     }
 
@@ -102,14 +112,22 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutably borrow the flat row-major data.
+    /// Mutably borrow the flat row-major data, first copying it when
+    /// another clone shares it (a unique buffer is borrowed in place).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consume into the flat data vector.
+    /// Consume into the flat data vector (copied only when shared).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
+    }
+
+    /// Whether `self` and `other` share one element buffer — true for
+    /// a clone neither side has written since. Buffer identity, not
+    /// equality: equal contents in distinct buffers compare `false`.
+    pub fn shares_data(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Flat offset of a multi-dimensional index.
@@ -150,7 +168,7 @@ impl Tensor {
     /// Fails on rank mismatch or out-of-bounds coordinates.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<(), TensorError> {
         let off = self.offset(index)?;
-        self.data[off] = value;
+        self.data_mut()[off] = value;
         Ok(())
     }
 
@@ -228,6 +246,37 @@ mod tests {
         assert!(t.row(2).is_err());
         let v = Tensor::from_slice(&[1., 2.]);
         assert!(v.row(0).is_err());
+    }
+
+    #[test]
+    fn clones_share_until_written() {
+        let original = Tensor::from_vec(vec![2], vec![1.0, 2.0]).unwrap();
+        let mut copy = original.clone();
+        assert!(copy.shares_data(&original), "clone shares the buffer");
+        copy.data_mut()[0] = 9.0;
+        assert!(!copy.shares_data(&original), "a write detaches the clone");
+        assert_eq!(original.data(), &[1.0, 2.0]);
+        assert_eq!(copy.data(), &[9.0, 2.0]);
+        // Equal contents in distinct buffers are equal, not shared.
+        let twin = Tensor::from_slice(&[1.0, 2.0]);
+        assert_eq!(twin, original);
+        assert!(!twin.shares_data(&original));
+    }
+
+    #[test]
+    fn unique_tensors_write_and_unwrap_in_place() {
+        let mut t = Tensor::zeros(vec![4]);
+        let before = t.data().as_ptr();
+        t.data_mut()[3] = 1.0;
+        assert_eq!(t.data().as_ptr(), before, "data_mut on a unique buffer");
+        let v = t.into_vec();
+        assert_eq!(v.as_ptr(), before, "into_vec on a unique buffer");
+        // A shared tensor unwraps into a copy and leaves the other intact.
+        let a = Tensor::from_slice(&[5.0]);
+        let b = a.clone();
+        let v = b.into_vec();
+        assert_ne!(v.as_ptr(), a.data().as_ptr());
+        assert_eq!(a.data(), &[5.0]);
     }
 
     #[test]

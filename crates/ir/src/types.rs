@@ -182,11 +182,6 @@ impl TypeInterner {
     pub(crate) fn kind(&self, ty: Type) -> &TypeKind {
         &self.kinds[ty.0 as usize]
     }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn len(&self) -> usize {
-        self.kinds.len()
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +204,7 @@ mod tests {
         });
         assert_eq!(t1, t2);
         assert_ne!(f32a, t1);
-        assert_eq!(i.len(), 2);
+        assert_eq!(i.kinds.len(), 2);
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! the full JSON grammar (objects, arrays, strings with escapes,
 //! numbers, booleans, null) with no dependencies, and is strict about
 //! trailing garbage so a malformed request line cannot be half
-//! accepted.
+//! accepted. Nesting is capped at [`MAX_DEPTH`] so a line of
+//! thousands of `[` is an error instead of a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The protocol
+/// nests two levels; the cap bounds the parser's recursion so
+/// untrusted input cannot exhaust a thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,6 +45,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -121,6 +128,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -152,8 +161,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -162,6 +171,21 @@ impl Parser<'_> {
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -359,6 +383,29 @@ mod tests {
         }
         let e = Json::parse("[1,2,]").unwrap_err();
         assert!(e.to_string().contains("byte"), "{e}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A small stack makes the unbounded recursion this guards
+        // against abort the process well before 200,000 levels.
+        let deep = std::thread::Builder::new()
+            .stack_size(1024 * 1024)
+            .spawn(|| Json::parse(&"[".repeat(200_000)))
+            .unwrap()
+            .join()
+            .expect("parser thread survived");
+        let e = deep.unwrap_err();
+        assert!(e.message.contains("nesting deeper than"), "{e}");
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&past_cap).is_err());
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .message
+            .contains("nesting"));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::json::Json;
 use c4cam_telemetry::json as jw;
+use c4cam_telemetry::metrics::percentile;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -196,24 +197,6 @@ impl LoadgenReport {
     }
 }
 
-/// Nearest-rank percentile of an unsorted sample (p in [0, 100]).
-///
-/// Total on degenerate inputs: an empty sample reports `0.0`
-/// (`--requests 1` with the lone request failing gets here), a
-/// one-element sample reports that element for every `p`, and `p = 0`
-/// reports the minimum. The rank is bounded with saturating `max`/`min`
-/// — unlike `clamp(1, len)`, which panics when `len == 0` — so no
-/// input can index out of range.
-pub fn percentile_us(latencies_us: &mut [f64], p: f64) -> f64 {
-    let n = latencies_us.len();
-    if n == 0 {
-        return 0.0;
-    }
-    latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = ((p / 100.0) * n as f64).ceil() as usize;
-    latencies_us[rank.max(1).min(n) - 1]
-}
-
 #[derive(Default)]
 struct Tally {
     latencies_us: Vec<f64>,
@@ -385,9 +368,9 @@ pub fn loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let mean_us = t.latencies_us.iter().sum::<f64>() / n;
     let max_us = t.latencies_us.iter().fold(0.0f64, |a, &b| a.max(b));
     let (p50, p90, p99) = (
-        percentile_us(&mut t.latencies_us, 50.0),
-        percentile_us(&mut t.latencies_us, 90.0),
-        percentile_us(&mut t.latencies_us, 99.0),
+        percentile(&mut t.latencies_us, 50.0),
+        percentile(&mut t.latencies_us, 90.0),
+        percentile(&mut t.latencies_us, 99.0),
     );
     Ok(LoadgenReport {
         mode: cfg.mode.keyword().to_string(),
@@ -476,15 +459,15 @@ mod tests {
     #[test]
     fn percentiles_use_nearest_rank() {
         let mut xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile_us(&mut xs, 50.0), 50.0);
-        assert_eq!(percentile_us(&mut xs, 90.0), 90.0);
-        assert_eq!(percentile_us(&mut xs, 99.0), 99.0);
-        assert_eq!(percentile_us(&mut xs, 100.0), 100.0);
+        assert_eq!(percentile(&mut xs, 50.0), 50.0);
+        assert_eq!(percentile(&mut xs, 90.0), 90.0);
+        assert_eq!(percentile(&mut xs, 99.0), 99.0);
+        assert_eq!(percentile(&mut xs, 100.0), 100.0);
         let mut one = vec![42.0];
-        assert_eq!(percentile_us(&mut one, 50.0), 42.0);
-        assert_eq!(percentile_us(&mut one, 99.0), 42.0);
+        assert_eq!(percentile(&mut one, 50.0), 42.0);
+        assert_eq!(percentile(&mut one, 99.0), 42.0);
         let mut none: Vec<f64> = vec![];
-        assert_eq!(percentile_us(&mut none, 50.0), 0.0);
+        assert_eq!(percentile(&mut none, 50.0), 0.0);
     }
 
     #[test]
@@ -493,26 +476,26 @@ mod tests {
         // `--requests 1` loadgen with a failed request lands here).
         for p in [0.0, 50.0, 90.0, 99.0, 100.0] {
             let mut none: Vec<f64> = vec![];
-            assert_eq!(percentile_us(&mut none, p), 0.0, "p={p}");
+            assert_eq!(percentile(&mut none, p), 0.0, "p={p}");
         }
         // A single sample (`--requests 1`) answers every percentile,
         // including the rank-0 edge at p = 0.
         for p in [0.0, 50.0, 90.0, 99.0, 100.0] {
             let mut one = vec![7.5];
-            assert_eq!(percentile_us(&mut one, p), 7.5, "p={p}");
+            assert_eq!(percentile(&mut one, p), 7.5, "p={p}");
         }
         // Two samples: nearest-rank puts p <= 50 on the first element
         // and everything above on the second; p = 0 is the minimum.
         let mut two = vec![20.0, 10.0];
-        assert_eq!(percentile_us(&mut two, 0.0), 10.0);
-        assert_eq!(percentile_us(&mut two, 50.0), 10.0);
-        assert_eq!(percentile_us(&mut two, 50.1), 20.0);
-        assert_eq!(percentile_us(&mut two, 99.0), 20.0);
-        assert_eq!(percentile_us(&mut two, 100.0), 20.0);
+        assert_eq!(percentile(&mut two, 0.0), 10.0);
+        assert_eq!(percentile(&mut two, 50.0), 10.0);
+        assert_eq!(percentile(&mut two, 50.1), 20.0);
+        assert_eq!(percentile(&mut two, 99.0), 20.0);
+        assert_eq!(percentile(&mut two, 100.0), 20.0);
         // An over-range p saturates to the maximum instead of indexing
         // out of bounds.
         let mut xs: Vec<f64> = (1..=10).map(f64::from).collect();
-        assert_eq!(percentile_us(&mut xs, 150.0), 10.0);
+        assert_eq!(percentile(&mut xs, 150.0), 10.0);
     }
 
     #[test]

@@ -8,6 +8,25 @@ use std::fmt::Write as _;
 
 use crate::{cat, ArgValue, Event, Phase};
 
+/// Nearest-rank percentile of a sample (`p` in 0..=100): the
+/// `ceil(p/100 * n)`-th smallest value, so at least `p`% of the
+/// samples are at or below it. Sorts `samples` in place.
+///
+/// Total on degenerate inputs: an empty sample reports `0.0`, a
+/// one-element sample reports that element for every `p`, and `p = 0`
+/// reports the minimum. The rank is bounded with saturating `max`/`min`
+/// — unlike `clamp(1, len)`, which panics when `len == 0` — so no
+/// input can index out of range.
+pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
+    let n = samples.len();
+    if n == 0 {
+        return 0.0;
+    }
+    samples.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * n as f64).ceil() as usize;
+    samples[rank.max(1).min(n) - 1]
+}
+
 /// A percentile-capable sample set (host-side durations, ns).
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
@@ -35,15 +54,10 @@ impl Histogram {
         self.samples.iter().sum()
     }
 
-    /// Nearest-rank percentile (`p` in 0..=100); 0 when empty.
+    /// Nearest-rank percentile (`p` in 0..=100); 0 when empty. See
+    /// [`percentile`].
     pub fn percentile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN samples"));
-        let rank = (p / 100.0) * (sorted.len() - 1) as f64;
-        sorted[rank.round() as usize]
+        percentile(&mut self.samples.clone(), p)
     }
 
     /// Largest sample; 0 when empty.
@@ -360,7 +374,7 @@ mod tests {
         }
         assert_eq!(h.percentile(0.0), 10.0);
         assert_eq!(h.percentile(100.0), 40.0);
-        assert_eq!(h.percentile(50.0), 30.0); // rank 1.5 rounds to index 2
+        assert_eq!(h.percentile(50.0), 20.0); // rank ceil(0.5 * 4) = 2nd
         assert_eq!(h.max(), 40.0);
         assert!(Histogram::default().is_empty());
         assert_eq!(Histogram::default().percentile(50.0), 0.0);

@@ -1,12 +1,6 @@
-//! The `c4cam` command-line compiler driver.
-//!
-//! ```text
-//! c4cam compile --arch spec.txt --source kernel.py --input 10x8192 \
-//!               --param weight=10x8192 --emit cam
-//! c4cam run     --arch spec.txt --source kernel.py --input 10x8192 \
-//!               --param weight=10x8192 --data q.csv --data w.csv
-//! c4cam place   --arch spec.txt --stored-rows 10 --dims 8192
-//! ```
+//! The `c4cam` command-line compiler driver. `c4cam help` prints the
+//! synopsis of every command, generated from the flag table in
+//! [`c4cam::cli`]; a flag a command does not consume is a usage error.
 //!
 //! Reports go to stdout; diagnostics go to stderr. The exit code
 //! distinguishes usage errors (2: bad flags/values, rejected at parse

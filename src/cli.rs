@@ -1,35 +1,11 @@
 //! Command-line interface logic for the `c4cam` binary.
 //!
-//! ```text
-//! c4cam compile --arch spec.txt --source kernel.py \
-//!               --input 10x8192 --param weight=10x8192 \
-//!               [--emit torch|cim|cim-fused|partitioned|cam] [--canonicalize]
-//! c4cam run     --arch spec.txt --source kernel.py \
-//!               --input 10x8192 --param weight=10x8192 \
-//!               [--data input.csv --data weight.csv | --random-seed 42]
-//! c4cam place   --arch spec.txt --stored-rows N --dims D [--queries Q]
-//! c4cam run     --dataset DIR|FILE.csv [--dataset-format idx|csv]
-//!               [--workload hdc|knn] [--limit N] [--arch spec.txt]
-//! c4cam sweep   [--workload hdc|knn|dtree|gpu] [--subarrays 16,32,...]
-//!               [--opts base,power,...] [--techs default,fefet-45nm,...]
-//!               [--bits 1,2] [--pareto] [--format table|json|csv]
-//!               [--dataset DIR|FILE.csv [--limit N]]
-//!               [--fault-rate R,R,...] [--fault-seed N]
-//! c4cam accuracy --dataset DIR|FILE.csv [--dataset-format idx|csv]
-//!               [--workload hdc|knn] [--limit N] [--bits 1,2]
-//!               [--subarray N] [--engine NAME] [--threads N]
-//!               [--fault-rate R,R,...] [--fault-seed N]
-//!               [--spare-rows N] [--vote K]
-//!               [--format table|json|csv]
-//! c4cam serve   --dataset DIR|FILE.csv [--workload hdc|knn] [--bits B]
-//!               [--subarray N] [--engine NAME] [--threads N]
-//!               [--host H] [--port P] [--max-batch N] [--linger-ms MS]
-//!               [--queue-depth N] [--cache-cap N]
-//! c4cam loadgen --addr HOST:PORT [--requests N] [--concurrency N]
-//!               [--rows-per-request N] [--mode closed|open [--rate R]]
-//!               [--verify-dataset DIR|FILE.csv] [--shutdown]
-//!               [--out FILE.json]
-//! ```
+//! Every flag is one row of a static table: its name, its arity, the
+//! typed parser of its value, and the command forms that require,
+//! accept or reject it. Parsing, the per-command rejection of foreign
+//! flags, the required-flag check and the usage synopses are all
+//! generated from that table; `c4cam help` prints the synopses. A flag
+//! a command does not consume is a usage error (exit 2).
 //!
 //! `--engine` names resolve through [`c4cam_hal::BackendRegistry`]
 //! (`simd`, `tape`, `trace`, `walk`); `sweep` accepts a
@@ -62,6 +38,8 @@ use c4cam_telemetry::metrics::MetricsReport;
 use c4cam_telemetry::{log as tlog, CollectingRecorder, Phase, Telemetry};
 use c4cam_tensor::Tensor;
 use c4cam_workloads::{DtreeWorkload, GpuComparisonWorkload, HdcWorkload, KnnWorkload, Workload};
+use std::any::Any;
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -128,11 +106,6 @@ impl FromStr for EmitStage {
 }
 
 impl EmitStage {
-    /// Parse from the `--emit` keyword (delegates to [`FromStr`]).
-    pub fn from_keyword(s: &str) -> Option<EmitStage> {
-        s.parse().ok()
-    }
-
     fn snapshot_name(self) -> &'static str {
         match self {
             EmitStage::Torch => "torch",
@@ -205,13 +178,6 @@ impl FromStr for OutputFormat {
             "json" => Ok(OutputFormat::Json),
             _ => Err(ParseKeywordError::new("--format", s, &["text", "json"])),
         }
-    }
-}
-
-impl OutputFormat {
-    /// Parse from the `--format` keyword (delegates to [`FromStr`]).
-    pub fn from_keyword(s: &str) -> Option<OutputFormat> {
-        s.parse().ok()
     }
 }
 
@@ -606,799 +572,619 @@ pub fn parse_shape(text: &str) -> Result<Vec<i64>, CliError> {
     }
 }
 
-/// Parse the full argument vector (excluding the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter().peekable();
-    let cmd = it.next().ok_or_else(|| cli_err(usage()))?;
-    let mut arch = None;
-    let mut source = None;
-    let mut inputs = Vec::new();
-    let mut params = Vec::new();
-    let mut emit: Option<EmitStage> = None;
-    let mut canonicalize = false;
-    let mut data = Vec::new();
-    let mut random_seed: Option<u64> = None;
-    let mut stored_rows = None;
-    let mut dims = None;
-    let mut queries: Option<usize> = None;
-    let mut classes: Option<usize> = None;
-    let mut engine: Option<String> = None;
-    let mut threads = 1usize;
-    let mut format: Option<String> = None;
-    let mut workload: Option<String> = None;
-    let mut subarrays: Option<Vec<usize>> = None;
-    let mut opts: Option<Vec<Optimization>> = None;
-    let mut techs: Option<Vec<String>> = None;
-    let mut bits: Option<Vec<u32>> = None;
-    let mut pareto = false;
-    let mut dataset: Option<String> = None;
-    let mut dataset_format: Option<DatasetFormat> = None;
-    let mut limit: Option<usize> = None;
-    let mut subarray: Option<usize> = None;
-    let mut trace_out: Option<String> = None;
-    let mut metrics: Option<MetricsMode> = None;
-    let mut log_level: Option<LogLevel> = None;
-    let mut fault_rates: Option<Vec<f64>> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut spare_rows: Option<usize> = None;
-    let mut vote: Option<usize> = None;
-    let mut host: Option<String> = None;
-    let mut port: Option<u16> = None;
-    let mut max_batch: Option<usize> = None;
-    let mut linger_ms: Option<u64> = None;
-    let mut queue_depth: Option<usize> = None;
-    let mut cache_cap: Option<usize> = None;
-    let mut addr: Option<String> = None;
-    let mut requests: Option<usize> = None;
-    let mut concurrency: Option<usize> = None;
-    let mut rows_per_request: Option<usize> = None;
-    let mut mode: Option<String> = None;
-    let mut rate: Option<f64> = None;
-    let mut verify_dataset: Option<String> = None;
-    let mut shutdown = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut short = false;
+/// One way of invoking a command. `run` and `sweep` accept different
+/// flags when `--dataset` is given, and `loadgen` when
+/// `--verify-dataset` is, so each of those is a form of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    Compile,
+    Run,
+    RunDataset,
+    Place,
+    Sweep,
+    SweepDataset,
+    Accuracy,
+    Serve,
+    Loadgen,
+    LoadgenVerify,
+    BenchGate,
+}
 
-    let next_value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                      flag: &str|
-     -> Result<String, CliError> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| cli_err(format!("{flag} requires a value")))
-    };
+impl Form {
+    /// Every form, in the column order of [`Flag::forms`].
+    const ALL: [Form; 11] = [
+        Form::Compile,
+        Form::Run,
+        Form::RunDataset,
+        Form::Place,
+        Form::Sweep,
+        Form::SweepDataset,
+        Form::Accuracy,
+        Form::Serve,
+        Form::Loadgen,
+        Form::LoadgenVerify,
+        Form::BenchGate,
+    ];
 
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--arch" => arch = Some(next_value(&mut it, flag)?),
-            "--source" => source = Some(next_value(&mut it, flag)?),
-            "--input" => inputs.push(parse_shape(&next_value(&mut it, flag)?)?),
-            "--param" => {
-                let v = next_value(&mut it, flag)?;
-                let (name, shape) = v
-                    .split_once('=')
-                    .ok_or_else(|| cli_err("--param expects name=SHAPE"))?;
-                params.push((name.to_string(), parse_shape(shape)?));
-            }
-            "--emit" => {
-                let v = next_value(&mut it, flag)?;
-                emit = Some(
-                    EmitStage::from_keyword(&v)
-                        .ok_or_else(|| cli_err(format!("unknown --emit stage '{v}'")))?,
-                );
-            }
-            "--canonicalize" => canonicalize = true,
-            "--data" => data.push(next_value(&mut it, flag)?),
-            "--random-seed" => {
-                random_seed = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--random-seed expects an integer"))?,
-                );
-            }
-            "--stored-rows" => {
-                stored_rows = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .map_err(|_| cli_err("--stored-rows expects an integer"))?,
-                );
-            }
-            "--dims" => {
-                dims = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .map_err(|_| cli_err("--dims expects an integer"))?,
-                );
-            }
-            "--queries" => {
-                queries = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--queries expects an integer"))?,
-                );
-            }
-            "--classes" => {
-                classes = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--classes expects an integer"))?,
-                );
-            }
-            "--engine" => engine = Some(next_value(&mut it, flag)?),
-            "--threads" => {
-                threads = next_value(&mut it, flag)?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .ok_or_else(|| cli_err("--threads expects a positive integer"))?;
-            }
-            "--format" => format = Some(next_value(&mut it, flag)?),
-            "--workload" => workload = Some(next_value(&mut it, flag)?),
-            "--subarrays" => {
-                subarrays = Some(parse_list(
-                    &next_value(&mut it, flag)?,
-                    "--subarrays",
-                    |v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| cli_err(format!("invalid subarray size '{v}'")))
-                    },
-                )?);
-            }
-            "--opts" => {
-                opts = Some(parse_list(&next_value(&mut it, flag)?, "--opts", |v| {
-                    Optimization::from_keyword(v).ok_or_else(|| {
-                        cli_err(format!(
-                            "unknown optimization '{v}' (expected base|power|density|power+density)"
-                        ))
-                    })
-                })?);
-            }
-            "--techs" => {
-                let list = parse_list(&next_value(&mut it, flag)?, "--techs", |v| {
-                    // Validate eagerly; the models are rebuilt at run time.
-                    parse_tech(v).map(|_| v.to_string())
-                })?;
-                techs = Some(list);
-            }
-            "--bits" => {
-                bits = Some(parse_list(&next_value(&mut it, flag)?, "--bits", |v| {
-                    v.parse::<u32>()
-                        .ok()
-                        .filter(|&b| (1..=4).contains(&b))
-                        .ok_or_else(|| cli_err(format!("invalid bits-per-cell '{v}' (1..=4)")))
-                })?);
-            }
-            "--pareto" => pareto = true,
-            "--dataset" => dataset = Some(next_value(&mut it, flag)?),
-            "--dataset-format" => {
-                dataset_format = Some(next_value(&mut it, flag)?.parse().map_err(cli_err)?);
-            }
-            "--limit" => {
-                limit = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--limit expects a positive integer"))?,
-                );
-            }
-            "--subarray" => {
-                subarray = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--subarray expects a positive integer"))?,
-                );
-            }
-            "--fault-rate" => {
-                fault_rates = Some(parse_list(
-                    &next_value(&mut it, flag)?,
-                    "--fault-rate",
-                    |v| {
-                        v.parse::<f64>()
-                            .ok()
-                            .filter(|r| r.is_finite() && (0.0..=1.0).contains(r))
-                            .ok_or_else(|| {
-                                cli_err(format!("invalid fault rate '{v}' (expected 0.0..=1.0)"))
-                            })
-                    },
-                )?);
-            }
-            "--fault-seed" => {
-                fault_seed = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--fault-seed expects an integer"))?,
-                );
-            }
-            "--spare-rows" => {
-                spare_rows = Some(
-                    next_value(&mut it, flag)?
-                        .parse()
-                        .map_err(|_| cli_err("--spare-rows expects an integer"))?,
-                );
-            }
-            "--vote" => {
-                vote = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&k| k >= 1)
-                        .ok_or_else(|| cli_err("--vote expects a positive integer"))?,
-                );
-            }
-            "--host" => host = Some(next_value(&mut it, flag)?),
-            "--port" => {
-                port = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<u16>()
-                        .map_err(|_| cli_err("--port expects 0..=65535"))?,
-                );
-            }
-            "--max-batch" => {
-                max_batch = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--max-batch expects a positive integer"))?,
-                );
-            }
-            "--linger-ms" => {
-                linger_ms = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<u64>()
-                        .map_err(|_| cli_err("--linger-ms expects an integer"))?,
-                );
-            }
-            "--queue-depth" => {
-                queue_depth = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--queue-depth expects a positive integer"))?,
-                );
-            }
-            "--cache-cap" => {
-                cache_cap = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--cache-cap expects a positive integer"))?,
-                );
-            }
-            "--addr" => addr = Some(next_value(&mut it, flag)?),
-            "--requests" => {
-                requests = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--requests expects a positive integer"))?,
-                );
-            }
-            "--concurrency" => {
-                concurrency = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--concurrency expects a positive integer"))?,
-                );
-            }
-            "--rows-per-request" => {
-                rows_per_request = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| cli_err("--rows-per-request expects a positive integer"))?,
-                );
-            }
-            "--mode" => mode = Some(next_value(&mut it, flag)?),
-            "--rate" => {
-                rate = Some(
-                    next_value(&mut it, flag)?
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| cli_err("--rate expects a positive number"))?,
-                );
-            }
-            "--verify-dataset" => verify_dataset = Some(next_value(&mut it, flag)?),
-            "--shutdown" => shutdown = true,
-            "--out" => out = Some(next_value(&mut it, flag)?),
-            "--baseline" => baseline = Some(next_value(&mut it, flag)?),
-            "--short" => short = true,
-            "--trace-out" => trace_out = Some(next_value(&mut it, flag)?),
-            "--metrics" => {
-                metrics = Some(next_value(&mut it, flag)?.parse().map_err(cli_err)?);
-            }
-            "--log-level" => {
-                log_level = Some(next_value(&mut it, flag)?.parse().map_err(cli_err)?);
-            }
-            other => return Err(cli_err(format!("unknown flag '{other}'\n{}", usage()))),
+    /// The command, then the flag that selects this form, if any.
+    fn label(self) -> &'static str {
+        match self {
+            Form::Compile => "compile",
+            Form::Run => "run",
+            Form::RunDataset => "run --dataset",
+            Form::Place => "place",
+            Form::Sweep => "sweep",
+            Form::SweepDataset => "sweep --dataset",
+            Form::Accuracy => "accuracy",
+            Form::Serve => "serve",
+            Form::Loadgen => "loadgen",
+            Form::LoadgenVerify => "loadgen --verify-dataset",
+            Form::BenchGate => "bench-gate",
         }
     }
 
-    let require = |opt: Option<String>, name: &str| {
-        opt.ok_or_else(|| cli_err(format!("missing required {name}\n{}", usage())))
-    };
-    let out_format = |format: Option<String>| -> Result<OutputFormat, CliError> {
-        match format {
-            None => Ok(OutputFormat::default()),
-            Some(v) => v.parse().map_err(cli_err),
-        }
-    };
-    // Flags are parsed in one namespace; reject cross-command ones
-    // explicitly so e.g. `sweep --arch spec.txt` cannot silently sweep
-    // the built-in hierarchy instead of the user's spec. Flag groups:
-    // compile-ish flags belong to compile/run/place, grid flags to
-    // sweep (--bits also to accuracy), dataset flags to run/sweep/
-    // accuracy, --subarray to accuracy alone.
-    let reject = |groups: &[&[(bool, &str)]], cmd: &str| -> Result<(), CliError> {
-        for &(given, flag) in groups.iter().copied().flatten() {
-            if given {
-                return Err(cli_err(format!("{flag} is not supported by '{cmd}'")));
+    fn command(self) -> &'static str {
+        self.label().split(' ').next().unwrap_or_default()
+    }
+
+    fn selector(self) -> Option<&'static str> {
+        self.label().split_once(' ').map(|(_, flag)| flag)
+    }
+
+    /// The usage line, generated from the flag table: required flags
+    /// first, then the `[optional]` ones; `...` marks a repeatable flag.
+    fn synopsis(self) -> String {
+        let mut line = format!("c4cam {}", self.command());
+        for wanted in [b'R', b'+'] {
+            for flag in FLAGS.iter().filter(|f| f.column(self) == wanted) {
+                let mut text = flag.name.to_string();
+                if !flag.meta.is_empty() {
+                    text = format!("{text} {}", flag.meta);
+                }
+                if wanted == b'+' {
+                    text = format!("[{text}]");
+                }
+                if matches!(flag.arity, Arity::Repeat(_)) {
+                    text.push_str("...");
+                }
+                line = format!("{line} {text}");
             }
         }
-        Ok(())
-    };
-    let compile_flags: &[(bool, &str)] = &[
-        (arch.is_some(), "--arch"),
-        (source.is_some(), "--source"),
-        (!inputs.is_empty(), "--input"),
-        (!params.is_empty(), "--param"),
-        (!data.is_empty(), "--data"),
-        (stored_rows.is_some(), "--stored-rows"),
-    ];
-    let sweep_only: &[(bool, &str)] = &[
-        (subarrays.is_some(), "--subarrays"),
-        (opts.is_some(), "--opts"),
-        (techs.is_some(), "--techs"),
-        (classes.is_some(), "--classes"),
-        (pareto, "--pareto"),
-    ];
-    let dataset_flags: &[(bool, &str)] = &[
-        (dataset.is_some(), "--dataset"),
-        (dataset_format.is_some(), "--dataset-format"),
-        (limit.is_some(), "--limit"),
-    ];
-    let bits_flag: &[(bool, &str)] = &[(bits.is_some(), "--bits")];
-    let subarray_flag: &[(bool, &str)] = &[(subarray.is_some(), "--subarray")];
-    let workload_flag: &[(bool, &str)] = &[(workload.is_some(), "--workload")];
-    // Flags that configure source compilation / synthetic data — they
-    // would be silently ignored everywhere else.
-    let source_run_flags: &[(bool, &str)] = &[
-        (emit.is_some(), "--emit"),
-        (canonicalize, "--canonicalize"),
-        (random_seed.is_some(), "--random-seed"),
-    ];
-    // Telemetry flags belong to the executing commands (run/sweep/
-    // accuracy); compile and place never execute anything to trace.
-    let telemetry_flags: &[(bool, &str)] = &[
-        (trace_out.is_some(), "--trace-out"),
-        (metrics.is_some(), "--metrics"),
-        (log_level.is_some(), "--log-level"),
-    ];
-    // Fault injection is a sweep/accuracy concern; the resilience
-    // levers (--spare-rows/--vote) are accuracy-only.
-    let fault_axis_flags: &[(bool, &str)] = &[
-        (fault_rates.is_some(), "--fault-rate"),
-        (fault_seed.is_some(), "--fault-seed"),
-    ];
-    let resilience_flags: &[(bool, &str)] = &[
-        (spare_rows.is_some(), "--spare-rows"),
-        (vote.is_some(), "--vote"),
-    ];
-    // Service-mode flag groups: server knobs belong to `serve`, client
-    // knobs to `loadgen`.
-    let serve_flags: &[(bool, &str)] = &[
-        (host.is_some(), "--host"),
-        (port.is_some(), "--port"),
-        (max_batch.is_some(), "--max-batch"),
-        (linger_ms.is_some(), "--linger-ms"),
-        (queue_depth.is_some(), "--queue-depth"),
-        (cache_cap.is_some(), "--cache-cap"),
-    ];
-    let loadgen_flags: &[(bool, &str)] = &[
-        (addr.is_some(), "--addr"),
-        (requests.is_some(), "--requests"),
-        (concurrency.is_some(), "--concurrency"),
-        (rows_per_request.is_some(), "--rows-per-request"),
-        (mode.is_some(), "--mode"),
-        (rate.is_some(), "--rate"),
-        (verify_dataset.is_some(), "--verify-dataset"),
-        (shutdown, "--shutdown"),
-        (out.is_some(), "--out"),
-    ];
-    // Gate knobs belong to `bench-gate` alone (--out is shared with
-    // loadgen, so it lives in that group, not here).
-    let gate_flags: &[(bool, &str)] = &[(baseline.is_some(), "--baseline"), (short, "--short")];
-    match cmd.as_str() {
-        "compile" | "place" => {
-            reject(
-                &[
-                    sweep_only,
-                    dataset_flags,
-                    bits_flag,
-                    subarray_flag,
-                    workload_flag,
-                    telemetry_flags,
-                    fault_axis_flags,
-                    resilience_flags,
-                    serve_flags,
-                    loadgen_flags,
-                    gate_flags,
-                ],
-                cmd,
-            )?;
-            if cmd == "place" {
-                reject(&[source_run_flags], cmd)?;
+        line
+    }
+
+    /// Fill the form's argument struct from its parsed flags, applying
+    /// the command's defaults and its cross-field checks.
+    fn build(self, m: &mut Matches) -> Result<Command, CliError> {
+        Ok(match self {
+            Form::Compile => Command::Compile(compile_args(m)),
+            Form::Run => {
+                let (engine, threads) = engine_and_threads(m)?;
+                Command::Run(RunArgs {
+                    compile: compile_args(m),
+                    data: m.values("--data"),
+                    random_seed: m.value("--random-seed").unwrap_or(42),
+                    engine,
+                    threads,
+                    format: m.value("--format").unwrap_or_default(),
+                    telemetry: telemetry_args(m),
+                })
             }
-        }
-        "run" => {
-            reject(
-                &[
-                    sweep_only,
-                    bits_flag,
-                    subarray_flag,
-                    fault_axis_flags,
-                    resilience_flags,
-                    serve_flags,
-                    loadgen_flags,
-                    gate_flags,
-                ],
-                cmd,
-            )?;
-            if dataset.is_some() {
-                // A dataset run replaces the TorchScript source; only
-                // --arch carries over (the spec to simulate on).
-                for (given, flag) in [
-                    (source.is_some(), "--source"),
-                    (!inputs.is_empty(), "--input"),
-                    (!params.is_empty(), "--param"),
-                    (!data.is_empty(), "--data"),
-                    (stored_rows.is_some(), "--stored-rows"),
-                    (emit.is_some(), "--emit"),
-                    (canonicalize, "--canonicalize"),
-                    (random_seed.is_some(), "--random-seed"),
-                ] {
-                    if given {
+            Form::RunDataset => {
+                let (engine, threads) = engine_and_threads(m)?;
+                Command::RunDataset(DatasetRunArgs {
+                    dataset: m.required("--dataset"),
+                    dataset_format: m.value("--dataset-format"),
+                    task: m.value("--workload").unwrap_or_else(|| "hdc".to_string()),
+                    limit: m.value("--limit"),
+                    arch: m.value("--arch"),
+                    engine,
+                    threads,
+                    format: m.value("--format").unwrap_or_default(),
+                    telemetry: telemetry_args(m),
+                })
+            }
+            Form::Place => Command::Place(PlaceArgs {
+                arch: m.required("--arch"),
+                stored_rows: m.required("--stored-rows"),
+                dims: m.required("--dims"),
+                queries: m.value("--queries").unwrap_or(1),
+                format: m.value("--format").unwrap_or_default(),
+            }),
+            Form::Sweep | Form::SweepDataset => {
+                // The sweep's --engine is a comma-separated list: an
+                // extra grid axis.
+                let (engines, threads) = engines_and_threads(m, true)?;
+                let defaults = SweepArgs::default();
+                Command::Sweep(SweepArgs {
+                    workload: m.value("--workload").unwrap_or(defaults.workload),
+                    dataset: m.value("--dataset"),
+                    dataset_format: m.value("--dataset-format"),
+                    limit: m.value("--limit"),
+                    queries: m.value("--queries"),
+                    classes: m.value("--classes"),
+                    dims: m.value("--dims"),
+                    subarrays: m.value("--subarrays").unwrap_or(defaults.subarrays),
+                    opts: m.value("--opts").unwrap_or(defaults.opts),
+                    techs: m.value("--techs").unwrap_or(defaults.techs),
+                    bits: m.value("--bits").unwrap_or(defaults.bits),
+                    engines,
+                    fault_rates: m.value("--fault-rate").unwrap_or(defaults.fault_rates),
+                    fault_seed: m.value("--fault-seed").unwrap_or(defaults.fault_seed),
+                    threads,
+                    pareto: m.switch("--pareto"),
+                    format: m.value("--format").unwrap_or_default(),
+                    telemetry: telemetry_args(m),
+                })
+            }
+            Form::Accuracy => {
+                let (engine, threads) = engine_and_threads(m)?;
+                Command::Accuracy(AccuracyArgs {
+                    dataset: m.required("--dataset"),
+                    dataset_format: m.value("--dataset-format"),
+                    task: m.value("--workload").unwrap_or_else(|| "hdc".to_string()),
+                    limit: m.value("--limit"),
+                    bits: m.value("--bits").unwrap_or_else(|| vec![1, 2]),
+                    subarray: m.value("--subarray").unwrap_or(32),
+                    engine,
+                    threads,
+                    fault_rates: m.value("--fault-rate").unwrap_or_else(|| vec![0.0]),
+                    fault_seed: m.value("--fault-seed").unwrap_or(0),
+                    spare_rows: m.value("--spare-rows").unwrap_or(0),
+                    vote: m.value("--vote").unwrap_or(1),
+                    format: m.value("--format").unwrap_or_default(),
+                    telemetry: telemetry_args(m),
+                })
+            }
+            Form::Serve => {
+                let (engine, threads) = engine_and_threads(m)?;
+                Command::Serve(ServeArgs {
+                    dataset: m.required("--dataset"),
+                    dataset_format: m.value("--dataset-format"),
+                    task: m.value("--workload").unwrap_or_else(|| "hdc".to_string()),
+                    bits: single_bits(
+                        m,
+                        "serve expects a single --bits value (clients override per request)",
+                    )?,
+                    subarray: m.value("--subarray").unwrap_or(32),
+                    engine,
+                    threads,
+                    host: m.value("--host").unwrap_or_else(|| "127.0.0.1".to_string()),
+                    port: m.value("--port").unwrap_or(0),
+                    max_batch: m.value("--max-batch").unwrap_or(16),
+                    linger_ms: m.value("--linger-ms").unwrap_or(2),
+                    queue_depth: m.value("--queue-depth").unwrap_or(256),
+                    cache_cap: m.value("--cache-cap").unwrap_or(8),
+                    telemetry: telemetry_args(m),
+                })
+            }
+            Form::Loadgen | Form::LoadgenVerify => {
+                let mode = m.value("--mode").unwrap_or_else(|| "closed".to_string());
+                let rate = m.value("--rate");
+                match (mode.as_str(), rate) {
+                    ("closed", Some(_)) => {
+                        return Err(cli_err("--rate is only meaningful with --mode open"))
+                    }
+                    ("open", None) => return Err(cli_err("--mode open requires --rate")),
+                    ("closed" | "open", _) => {}
+                    (other, _) => {
                         return Err(cli_err(format!(
-                            "{flag} is not supported by 'run --dataset' (the dataset supplies the kernel and the data)"
-                        )));
+                            "unknown --mode '{other}' (expected closed|open)"
+                        )))
                     }
                 }
-            } else {
-                reject(&[dataset_flags, workload_flag], "run (without --dataset)")?;
+                Command::Loadgen(LoadgenArgs {
+                    addr: m.required("--addr"),
+                    requests: m.value("--requests").unwrap_or(64),
+                    concurrency: m.value("--concurrency").unwrap_or(4),
+                    rows_per_request: m.value("--rows-per-request").unwrap_or(1),
+                    mode,
+                    rate,
+                    verify_dataset: m.value("--verify-dataset"),
+                    dataset_format: m.value("--dataset-format"),
+                    task: m.value("--workload").unwrap_or_else(|| "hdc".to_string()),
+                    bits: single_bits(
+                        m,
+                        "loadgen expects a single --bits value (the server's default key)",
+                    )?,
+                    subarray: m.value("--subarray").unwrap_or(32),
+                    shutdown: m.switch("--shutdown"),
+                    out: m.value("--out"),
+                })
             }
-        }
-        "sweep" => {
-            reject(
-                &[
-                    compile_flags,
-                    subarray_flag,
-                    source_run_flags,
-                    resilience_flags,
-                    serve_flags,
-                    loadgen_flags,
-                    gate_flags,
-                ],
-                cmd,
-            )?;
-            if dataset.is_some() && (classes.is_some() || dims.is_some() || queries.is_some()) {
-                return Err(cli_err(
-                    "--classes/--dims/--queries are not supported with 'sweep --dataset' \
-                     (the dataset fixes the shape; use --limit to cap queries)",
-                ));
-            }
-        }
-        "accuracy" => reject(
-            &[
-                compile_flags,
-                sweep_only,
-                source_run_flags,
-                serve_flags,
-                loadgen_flags,
-                gate_flags,
-                &[(queries.is_some(), "--queries"), (dims.is_some(), "--dims")],
-            ],
-            cmd,
-        )?,
-        "serve" => reject(
-            &[
-                compile_flags,
-                sweep_only,
-                source_run_flags,
-                fault_axis_flags,
-                resilience_flags,
-                loadgen_flags,
-                gate_flags,
-                &[
-                    (queries.is_some(), "--queries"),
-                    (dims.is_some(), "--dims"),
-                    (format.is_some(), "--format"),
-                    (
-                        limit.is_some(),
-                        "--limit (serve keeps the whole query pool addressable)",
-                    ),
-                ],
-            ],
-            cmd,
-        )?,
-        "loadgen" => reject(
-            &[
-                compile_flags,
-                sweep_only,
-                source_run_flags,
-                fault_axis_flags,
-                resilience_flags,
-                serve_flags,
-                telemetry_flags,
-                gate_flags,
-                &[
-                    (dataset.is_some(), "--dataset (use --verify-dataset)"),
-                    (limit.is_some(), "--limit"),
-                    (engine.is_some(), "--engine"),
-                    (queries.is_some(), "--queries"),
-                    (dims.is_some(), "--dims"),
-                    (format.is_some(), "--format"),
-                ],
-            ],
-            cmd,
-        )?,
-        "bench-gate" => reject(
-            &[
-                compile_flags,
-                sweep_only,
-                dataset_flags,
-                bits_flag,
-                subarray_flag,
-                workload_flag,
-                source_run_flags,
-                telemetry_flags,
-                fault_axis_flags,
-                resilience_flags,
-                serve_flags,
-                // Loadgen's client knobs, minus --out (the gate writes
-                // its measurement artifact there too).
-                &[
-                    (addr.is_some(), "--addr"),
-                    (requests.is_some(), "--requests"),
-                    (concurrency.is_some(), "--concurrency"),
-                    (rows_per_request.is_some(), "--rows-per-request"),
-                    (mode.is_some(), "--mode"),
-                    (rate.is_some(), "--rate"),
-                    (verify_dataset.is_some(), "--verify-dataset"),
-                    (shutdown, "--shutdown"),
-                    (queries.is_some(), "--queries"),
-                    (dims.is_some(), "--dims"),
-                    (format.is_some(), "--format"),
-                    (engine.is_some(), "--engine"),
-                ],
-            ],
-            cmd,
-        )?,
-        _ => {}
+            Form::BenchGate => Command::BenchGate(BenchGateArgs {
+                baseline: m
+                    .value("--baseline")
+                    .unwrap_or_else(|| "BENCH_baseline.json".to_string()),
+                short: m.switch("--short"),
+                out: m.value("--out"),
+            }),
+        })
     }
-    // Resolve an --engine name through the backend registry; unknown
-    // names fail with the registered list.
-    let resolve_engine = |name: &str| -> Result<String, CliError> {
+}
+
+/// A flag's arity, with the typed parser of its value.
+#[derive(Clone, Copy)]
+enum Arity {
+    /// A bare switch.
+    Switch,
+    /// One value; when the flag repeats, the last one counts.
+    Value(ParseFn),
+    /// A value that may repeat; every occurrence is kept.
+    Repeat(ParseFn),
+}
+
+/// Parses one flag value, given the flag name (for messages) and the
+/// raw text.
+type ParseFn = fn(&str, &str) -> Parsed;
+
+type Parsed = Result<Box<dyn Any>, CliError>;
+
+/// One row of the flag table.
+struct Flag {
+    /// One character per [`Form`], in [`Form::ALL`] order: `R` the form
+    /// requires the flag, `+` it accepts it, `.` it rejects it.
+    forms: &'static str,
+    name: &'static str,
+    /// Value placeholder in the usage synopsis (empty for a switch).
+    meta: &'static str,
+    arity: Arity,
+}
+
+impl Flag {
+    fn column(&self, form: Form) -> u8 {
+        self.forms.as_bytes()[form as usize]
+    }
+}
+
+const fn flag(forms: &'static str, name: &'static str, meta: &'static str, arity: Arity) -> Flag {
+    Flag {
+        forms,
+        name,
+        meta,
+        arity,
+    }
+}
+
+/// Every flag of every command. Parsing, the rejection of flags a form
+/// does not consume, the required-flag check and the usage synopses
+/// are all generated from this list. A name may have several rows
+/// (`--format` is `text|json` for run/place but `table|json|csv` for
+/// sweep/accuracy) as long as no form accepts two of them.
+#[rustfmt::skip]
+static FLAGS: &[Flag] = {
+    use Arity::{Repeat, Switch, Value};
+    &[
+        // Columns: compile, run, run --dataset, place, sweep,
+        // sweep --dataset, accuracy, serve, loadgen,
+        // loadgen --verify-dataset, bench-gate.
+        //    crRpsSavlLg
+        flag("RR+R.......", "--arch", "SPEC", Value(text)),
+        flag("RR.........", "--source", "KERNEL.py", Value(text)),
+        flag("++.........", "--input", "SHAPE", Repeat(shape)),
+        flag("++.........", "--param", "name=SHAPE", Repeat(param)),
+        flag("++.........", "--emit", "torch|cim|cim-fused|partitioned|cam", Value(keyword::<EmitStage>)),
+        flag("++.........", "--canonicalize", "", Switch),
+        flag(".+.........", "--data", "FILE.csv", Repeat(text)),
+        flag(".+.........", "--random-seed", "N", Value(integer::<u64>)),
+        flag("..R..RRR...", "--dataset", "DIR|FILE.csv", Value(text)),
+        flag("..+..+++.+.", "--dataset-format", "idx|csv", Value(keyword::<DatasetFormat>)),
+        flag("....+......", "--workload", "hdc|knn|dtree|gpu", Value(text)),
+        flag("..+..+++.+.", "--workload", "hdc|knn", Value(text)),
+        flag("..+..++....", "--limit", "N", Value(positive)),
+        flag("...R.......", "--stored-rows", "N", Value(integer::<usize>)),
+        flag("...R+......", "--dims", "D", Value(integer::<usize>)),
+        flag("...++......", "--queries", "N", Value(integer::<usize>)),
+        flag("....+......", "--classes", "N", Value(integer::<usize>)),
+        flag(".++...++...", "--engine", "NAME", Value(text)),
+        flag("....++.....", "--engine", "NAME,...", Value(text)),
+        flag(".++.++++...", "--threads", "N", Value(positive)),
+        flag(".+++.......", "--format", "text|json", Value(keyword::<OutputFormat>)),
+        flag("....+++....", "--format", "table|json|csv", Value(keyword::<SweepFormat>)),
+        flag("....++.....", "--subarrays", "N,...", Value(subarray_sizes)),
+        flag("....++.....", "--opts", "base|power|density|power+density,...", Value(optimizations)),
+        flag("....++.....", "--techs", "default|fefet-45nm|cmos-16nm,...", Value(technologies)),
+        flag("....+++....", "--bits", "B,...", Value(cell_bits)),
+        flag(".......+.+.", "--bits", "B", Value(cell_bits)),
+        flag("....++.....", "--pareto", "", Switch),
+        flag("....+++....", "--fault-rate", "R,...", Value(fault_rates)),
+        flag("....+++....", "--fault-seed", "N", Value(integer::<u64>)),
+        flag("......+....", "--spare-rows", "N", Value(integer::<usize>)),
+        flag("......+....", "--vote", "K", Value(positive)),
+        flag("......++.+.", "--subarray", "N", Value(positive)),
+        flag(".......+...", "--host", "H", Value(text)),
+        flag(".......+...", "--port", "P", Value(port)),
+        flag(".......+...", "--max-batch", "N", Value(positive)),
+        flag(".......+...", "--linger-ms", "MS", Value(integer::<u64>)),
+        flag(".......+...", "--queue-depth", "N", Value(positive)),
+        flag(".......+...", "--cache-cap", "N", Value(positive)),
+        flag("........RR.", "--addr", "HOST:PORT", Value(text)),
+        flag(".........R.", "--verify-dataset", "DIR|FILE.csv", Value(text)),
+        flag("........++.", "--requests", "N", Value(positive)),
+        flag("........++.", "--concurrency", "N", Value(positive)),
+        flag("........++.", "--rows-per-request", "N", Value(positive)),
+        flag("........++.", "--mode", "closed|open", Value(text)),
+        flag("........++.", "--rate", "R", Value(rate)),
+        flag("........++.", "--shutdown", "", Switch),
+        flag("..........+", "--baseline", "FILE.json", Value(text)),
+        flag("..........+", "--short", "", Switch),
+        flag("........+++", "--out", "FILE.json", Value(text)),
+        flag(".++.++++...", "--trace-out", "PATH", Value(text)),
+        flag(".++.++++...", "--metrics", "none|summary|full", Value(keyword::<MetricsMode>)),
+        flag(".++.++++...", "--log-level", "off|summary|debug", Value(keyword::<LogLevel>)),
+    ]
+};
+
+fn text(_: &str, v: &str) -> Parsed {
+    Ok(Box::new(v.to_string()))
+}
+
+fn integer<T: FromStr + 'static>(flag: &str, v: &str) -> Parsed {
+    let n: T = v
+        .parse()
+        .map_err(|_| cli_err(format!("{flag} expects an integer")))?;
+    Ok(Box::new(n))
+}
+
+fn positive(flag: &str, v: &str) -> Parsed {
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Box::new(n)),
+        _ => Err(cli_err(format!("{flag} expects a positive integer"))),
+    }
+}
+
+/// A keyword, through the type's [`FromStr`] (whose error lists the
+/// accepted keywords).
+fn keyword<T>(_: &str, v: &str) -> Parsed
+where
+    T: FromStr + 'static,
+    T::Err: fmt::Display,
+{
+    Ok(Box::new(v.parse::<T>().map_err(cli_err)?))
+}
+
+fn shape(_: &str, v: &str) -> Parsed {
+    Ok(Box::new(parse_shape(v)?))
+}
+
+fn param(_: &str, v: &str) -> Parsed {
+    let (name, shape) = v
+        .split_once('=')
+        .ok_or_else(|| cli_err("--param expects name=SHAPE"))?;
+    Ok(Box::new((name.to_string(), parse_shape(shape)?)))
+}
+
+fn port(_: &str, v: &str) -> Parsed {
+    let port: u16 = v.parse().map_err(|_| cli_err("--port expects 0..=65535"))?;
+    Ok(Box::new(port))
+}
+
+fn rate(_: &str, v: &str) -> Parsed {
+    match v.parse::<f64>() {
+        Ok(r) if r.is_finite() && r > 0.0 => Ok(Box::new(r)),
+        _ => Err(cli_err("--rate expects a positive number")),
+    }
+}
+
+fn subarray_sizes(flag: &str, v: &str) -> Parsed {
+    list(flag, v, |s| {
+        s.parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| cli_err(format!("invalid subarray size '{s}'")))
+    })
+}
+
+fn optimizations(flag: &str, v: &str) -> Parsed {
+    list(flag, v, |s| {
+        Optimization::from_keyword(s).ok_or_else(|| {
+            cli_err(format!(
+                "unknown optimization '{s}' (expected base|power|density|power+density)"
+            ))
+        })
+    })
+}
+
+fn technologies(flag: &str, v: &str) -> Parsed {
+    // Validate eagerly; the models are rebuilt at run time.
+    list(flag, v, |s| parse_tech(s).map(|_| s.to_string()))
+}
+
+fn cell_bits(flag: &str, v: &str) -> Parsed {
+    list(flag, v, |s| {
+        s.parse::<u32>()
+            .ok()
+            .filter(|b| (1..=4).contains(b))
+            .ok_or_else(|| cli_err(format!("invalid bits-per-cell '{s}' (1..=4)")))
+    })
+}
+
+fn fault_rates(flag: &str, v: &str) -> Parsed {
+    list(flag, v, |s| {
+        s.parse::<f64>()
+            .ok()
+            .filter(|r| r.is_finite() && (0.0..=1.0).contains(r))
+            .ok_or_else(|| cli_err(format!("invalid fault rate '{s}' (expected 0.0..=1.0)")))
+    })
+}
+
+fn list<T: 'static>(
+    flag: &str,
+    text: &str,
+    item: impl FnMut(&str) -> Result<T, CliError>,
+) -> Parsed {
+    Ok(Box::new(parse_list(text, flag, item)?))
+}
+
+/// The flags given on one command line, each parsed by its table row.
+#[derive(Default)]
+struct Matches(HashMap<&'static str, Vec<Box<dyn Any>>>);
+
+impl Matches {
+    /// Whether the switch `name` was given.
+    fn switch(&mut self, name: &str) -> bool {
+        self.0.remove(name).is_some()
+    }
+
+    /// Every value given for `name`, in command-line order.
+    fn values<T: 'static>(&mut self, name: &str) -> Vec<T> {
+        let values = self.0.remove(name).unwrap_or_default();
+        values
+            .into_iter()
+            .map(|v| {
+                *v.downcast()
+                    .expect("a flag's values have its parser's type")
+            })
+            .collect()
+    }
+
+    /// The last value given for `name`.
+    fn value<T: 'static>(&mut self, name: &str) -> Option<T> {
+        self.values(name).pop()
+    }
+
+    /// The value of a flag the form requires (`parse_args` checked it
+    /// was given).
+    fn required<T: 'static>(&mut self, name: &str) -> T {
+        self.value(name)
+            .expect("required flags are checked before the builders run")
+    }
+}
+
+fn compile_args(m: &mut Matches) -> CompileArgs {
+    CompileArgs {
+        arch: m.required("--arch"),
+        source: m.required("--source"),
+        inputs: m.values("--input"),
+        params: m.values("--param"),
+        emit: m.value("--emit").unwrap_or(EmitStage::Cam),
+        canonicalize: m.switch("--canonicalize"),
+    }
+}
+
+fn telemetry_args(m: &mut Matches) -> TelemetryArgs {
+    TelemetryArgs {
+        trace_out: m.value("--trace-out"),
+        metrics: m.value("--metrics").unwrap_or_default(),
+        log_level: m.value("--log-level"),
+    }
+}
+
+/// `--engine` (default `tape`; a comma-separated list when `list`),
+/// resolved through the backend registry so unknown names fail with the
+/// registered list, and `--threads` (default 1), which every selected
+/// backend must support.
+fn engines_and_threads(m: &mut Matches, list: bool) -> Result<(Vec<String>, usize), CliError> {
+    let text = m.value("--engine").unwrap_or_else(|| "tape".to_string());
+    let resolve = |name: &str| -> Result<String, CliError> {
         BackendRegistry::global().get(name).map_err(cli_err)?;
         Ok(name.to_string())
     };
-    // Threaded execution needs backends whose capabilities allow it.
-    let check_threads = |names: &[String], threads: usize| -> Result<(), CliError> {
-        if threads > 1 {
-            for name in names {
-                let backend = BackendRegistry::global().get(name).map_err(cli_err)?;
-                if !backend.capabilities().supports_threads {
-                    return Err(cli_err(format!(
-                        "--threads requires a threaded backend \
-                         (the {name} backend is single-threaded)"
-                    )));
-                }
-            }
-        }
-        Ok(())
+    let engines = if list {
+        parse_list(&text, "--engine", resolve)?
+    } else {
+        vec![resolve(&text)?]
     };
-    let telemetry = TelemetryArgs {
-        trace_out,
-        metrics: metrics.unwrap_or_default(),
-        log_level,
-    };
-    match cmd.as_str() {
-        "run" if dataset.is_some() => {
-            let engine = resolve_engine(engine.as_deref().unwrap_or("tape"))?;
-            check_threads(std::slice::from_ref(&engine), threads)?;
-            Ok(Command::RunDataset(DatasetRunArgs {
-                dataset: dataset.expect("guarded"),
-                dataset_format,
-                task: workload.unwrap_or_else(|| "hdc".to_string()),
-                limit,
-                arch,
-                engine,
-                threads,
-                format: out_format(format)?,
-                telemetry,
-            }))
-        }
-        "compile" | "run" => {
-            let compile = CompileArgs {
-                arch: require(arch, "--arch")?,
-                source: require(source, "--source")?,
-                inputs,
-                params,
-                emit: emit.unwrap_or(EmitStage::Cam),
-                canonicalize,
-            };
-            if cmd == "compile" {
-                Ok(Command::Compile(compile))
-            } else {
-                let engine = resolve_engine(engine.as_deref().unwrap_or("tape"))?;
-                check_threads(std::slice::from_ref(&engine), threads)?;
-                Ok(Command::Run(RunArgs {
-                    compile,
-                    data,
-                    random_seed: random_seed.unwrap_or(42),
-                    engine,
-                    threads,
-                    format: out_format(format)?,
-                    telemetry,
-                }))
+    let threads = m.value("--threads").unwrap_or(1);
+    if threads > 1 {
+        for name in &engines {
+            let backend = BackendRegistry::global().get(name).map_err(cli_err)?;
+            if !backend.capabilities().supports_threads {
+                return Err(cli_err(format!(
+                    "--threads requires a threaded backend \
+                     (the {name} backend is single-threaded)"
+                )));
             }
         }
-        "accuracy" => {
-            let engine = resolve_engine(engine.as_deref().unwrap_or("tape"))?;
-            check_threads(std::slice::from_ref(&engine), threads)?;
-            Ok(Command::Accuracy(AccuracyArgs {
-                dataset: require(dataset, "--dataset")?,
-                dataset_format,
-                task: workload.unwrap_or_else(|| "hdc".to_string()),
-                limit,
-                bits: bits.unwrap_or_else(|| vec![1, 2]),
-                subarray: subarray.unwrap_or(32),
-                engine,
-                threads,
-                fault_rates: fault_rates.unwrap_or_else(|| vec![0.0]),
-                fault_seed: fault_seed.unwrap_or(0),
-                spare_rows: spare_rows.unwrap_or(0),
-                vote: vote.unwrap_or(1),
-                format: match format {
-                    None => SweepFormat::default(),
-                    Some(v) => v.parse().map_err(cli_err)?,
-                },
-                telemetry,
-            }))
-        }
-        "place" => Ok(Command::Place(PlaceArgs {
-            arch: require(arch, "--arch")?,
-            stored_rows: stored_rows.ok_or_else(|| cli_err("missing --stored-rows"))?,
-            dims: dims.ok_or_else(|| cli_err("missing --dims"))?,
-            queries: queries.unwrap_or(1),
-            format: out_format(format)?,
-        })),
-        "sweep" => {
-            // The sweep's --engine is a comma-separated list: an
-            // extra grid axis.
-            let engines = match engine {
-                None => vec!["tape".to_string()],
-                Some(list) => parse_list(&list, "--engine", |v| resolve_engine(v))?,
-            };
-            check_threads(&engines, threads)?;
-            let defaults = SweepArgs::default();
-            Ok(Command::Sweep(SweepArgs {
-                workload: workload.unwrap_or(defaults.workload),
-                dataset,
-                dataset_format,
-                limit,
-                queries,
-                classes,
-                dims,
-                subarrays: subarrays.unwrap_or(defaults.subarrays),
-                opts: opts.unwrap_or(defaults.opts),
-                techs: techs.unwrap_or(defaults.techs),
-                bits: bits.unwrap_or(defaults.bits),
-                engines,
-                fault_rates: fault_rates.unwrap_or(defaults.fault_rates),
-                fault_seed: fault_seed.unwrap_or(defaults.fault_seed),
-                threads,
-                pareto,
-                format: match format {
-                    None => SweepFormat::default(),
-                    Some(v) => v.parse().map_err(cli_err)?,
-                },
-                telemetry,
-            }))
-        }
-        "serve" => {
-            let engine = resolve_engine(engine.as_deref().unwrap_or("tape"))?;
-            check_threads(std::slice::from_ref(&engine), threads)?;
-            // Serve takes one default cell width, not a grid axis.
-            let bits = match bits {
-                None => 2,
-                Some(list) if list.len() == 1 => list[0],
-                Some(_) => {
-                    return Err(cli_err(
-                        "serve expects a single --bits value (clients override per request)",
-                    ))
-                }
-            };
-            Ok(Command::Serve(ServeArgs {
-                dataset: require(dataset, "--dataset")?,
-                dataset_format,
-                task: workload.unwrap_or_else(|| "hdc".to_string()),
-                bits,
-                subarray: subarray.unwrap_or(32),
-                engine,
-                threads,
-                host: host.unwrap_or_else(|| "127.0.0.1".to_string()),
-                port: port.unwrap_or(0),
-                max_batch: max_batch.unwrap_or(16),
-                linger_ms: linger_ms.unwrap_or(2),
-                queue_depth: queue_depth.unwrap_or(256),
-                cache_cap: cache_cap.unwrap_or(8),
-                telemetry,
-            }))
-        }
-        "loadgen" => {
-            let mode = mode.unwrap_or_else(|| "closed".to_string());
-            match mode.as_str() {
-                "closed" => {
-                    if rate.is_some() {
-                        return Err(cli_err("--rate is only meaningful with --mode open"));
-                    }
-                }
-                "open" => {
-                    if rate.is_none() {
-                        return Err(cli_err("--mode open requires --rate"));
-                    }
-                }
-                other => {
-                    return Err(cli_err(format!(
-                        "unknown --mode '{other}' (expected closed|open)"
-                    )))
-                }
-            }
-            let bits = match bits {
-                None => 2,
-                Some(list) if list.len() == 1 => list[0],
-                Some(_) => {
-                    return Err(cli_err(
-                        "loadgen expects a single --bits value (the server's default key)",
-                    ))
-                }
-            };
-            Ok(Command::Loadgen(LoadgenArgs {
-                addr: require(addr, "--addr")?,
-                requests: requests.unwrap_or(64),
-                concurrency: concurrency.unwrap_or(4),
-                rows_per_request: rows_per_request.unwrap_or(1),
-                mode,
-                rate,
-                verify_dataset,
-                dataset_format,
-                task: workload.unwrap_or_else(|| "hdc".to_string()),
-                bits,
-                subarray: subarray.unwrap_or(32),
-                shutdown,
-                out,
-            }))
-        }
-        "bench-gate" => Ok(Command::BenchGate(BenchGateArgs {
-            baseline: baseline.unwrap_or_else(|| "BENCH_baseline.json".to_string()),
-            short,
-            out,
-        })),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(cli_err(format!("unknown command '{other}'\n{}", usage()))),
     }
+    Ok((engines, threads))
+}
+
+/// [`engines_and_threads`] for the commands that take one backend.
+fn engine_and_threads(m: &mut Matches) -> Result<(String, usize), CliError> {
+    let (mut engines, threads) = engines_and_threads(m, false)?;
+    Ok((engines.remove(0), threads))
+}
+
+/// The one `--bits` value (default 2) of serve and loadgen, which take
+/// a default cell width rather than a grid axis.
+fn single_bits(m: &mut Matches, message: &str) -> Result<u32, CliError> {
+    match m.value::<Vec<u32>>("--bits").as_deref() {
+        None => Ok(2),
+        Some(&[bits]) => Ok(bits),
+        Some(_) => Err(cli_err(message)),
+    }
+}
+
+/// Parse the full argument vector (excluding the program name).
+pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
+    let (cmd, rest) = args.split_first().ok_or_else(|| cli_err(usage()))?;
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return match rest.first() {
+            None => Ok(Command::Help),
+            Some(flag) => Err(cli_err(format!("{flag} is not supported by 'help'"))),
+        };
+    }
+    if !Form::ALL.iter().any(|f| f.command() == cmd) {
+        return Err(cli_err(format!("unknown command '{cmd}'\n{}", usage())));
+    }
+    // Pair each flag with its value; the flag's arity says whether one
+    // follows (rows sharing a name share an arity).
+    let mut given = Vec::new();
+    let mut it = rest.iter();
+    while let Some(name) = it.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| cli_err(format!("unknown flag '{name}'\n{}", usage())))?;
+        let value = match flag.arity {
+            Arity::Switch => None,
+            Arity::Value(_) | Arity::Repeat(_) => Some(
+                it.next()
+                    .ok_or_else(|| cli_err(format!("{name} requires a value")))?,
+            ),
+        };
+        given.push((flag.name, value));
+    }
+    // A given selector flag picks its form (`run --dataset`) over the
+    // plain one, which `Form::ALL` lists first.
+    let selected = |s: &str| given.iter().any(|(name, _)| *name == s);
+    let form = Form::ALL
+        .into_iter()
+        .rev()
+        .find(|f| f.command() == cmd && f.selector().is_none_or(selected))
+        .expect("the command has a form");
+    let mut matches = Matches::default();
+    for (name, value) in given {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == name && f.column(form) != b'.')
+            .ok_or_else(|| cli_err(format!("{name} is not supported by '{}'", form.label())))?;
+        let entry = matches.0.entry(name).or_default();
+        if let (Arity::Value(parse) | Arity::Repeat(parse), Some(v)) = (flag.arity, value) {
+            entry.push(parse(name, v)?);
+        }
+    }
+    if let Some(flag) = FLAGS
+        .iter()
+        .find(|f| f.column(form) == b'R' && !matches.0.contains_key(f.name))
+    {
+        return Err(cli_err(format!(
+            "missing required {}\nusage: {}",
+            flag.name,
+            form.synopsis()
+        )));
+    }
+    let command = form.build(&mut matches)?;
+    // Builders take every flag they read; one left over is a table row
+    // accepting a flag the command would silently ignore.
+    debug_assert!(
+        matches.0.is_empty(),
+        "'{}' ignores {:?}",
+        form.label(),
+        matches.0.keys()
+    );
+    Ok(command)
 }
 
 /// Parse a comma-separated list with a per-item parser; empty lists
@@ -1429,15 +1215,42 @@ fn parse_tech(name: &str) -> Result<Option<TechnologyModel>, CliError> {
     }
 }
 
-/// Usage text. The `--engine` alternatives are generated from the
-/// [`BackendRegistry`], so the help stays in sync with the registered
-/// backends.
+/// Usage text: one synopsis per command form, generated from the flag
+/// table, then the `--engine` names from the [`BackendRegistry`] (so
+/// new backends show up without editing anything here) and notes on
+/// the flag families.
 pub fn usage() -> String {
-    let engines = BackendRegistry::global().names().join("|");
-    format!(
-        "usage:\n  c4cam compile --arch SPEC --source KERNEL.py --input SHAPE [--param name=SHAPE]... [--emit torch|cim|cim-fused|partitioned|cam] [--canonicalize]\n  c4cam run     --arch SPEC --source KERNEL.py --input SHAPE [--param name=SHAPE]... [--data file.csv]... [--random-seed N] [--engine {engines}] [--threads N] [--format text|json]\n  c4cam run     --dataset DIR|FILE.csv [--dataset-format idx|csv] [--workload hdc|knn] [--limit N] [--arch SPEC] [--engine {engines}] [--threads N] [--format text|json]\n  c4cam place   --arch SPEC --stored-rows N --dims D [--queries Q] [--format text|json]\n  c4cam sweep   [--workload hdc|knn|dtree|gpu] [--queries N] [--classes N] [--dims D] [--subarrays N,N,...] [--opts base,power,density,power+density] [--techs default,fefet-45nm,cmos-16nm] [--bits 1,2] [--engine {engines},...] [--threads N] [--pareto] [--format table|json|csv] [--dataset DIR|FILE.csv [--dataset-format idx|csv] [--limit N]] [--fault-rate R,R,...] [--fault-seed N]\n  c4cam accuracy --dataset DIR|FILE.csv [--dataset-format idx|csv] [--workload hdc|knn] [--limit N] [--bits 1,2] [--subarray N] [--engine {engines}] [--threads N] [--fault-rate R,R,...] [--fault-seed N] [--spare-rows N] [--vote K] [--format table|json|csv]\n  c4cam serve   --dataset DIR|FILE.csv [--dataset-format idx|csv] [--workload hdc|knn] [--bits B] [--subarray N] [--engine {engines}] [--threads N] [--host H] [--port P] [--max-batch N] [--linger-ms MS] [--queue-depth N] [--cache-cap N]\n  c4cam loadgen --addr HOST:PORT [--requests N] [--concurrency N] [--rows-per-request N] [--mode closed|open [--rate R]] [--verify-dataset DIR|FILE.csv [--dataset-format idx|csv] [--workload hdc|knn] [--bits B] [--subarray N]] [--shutdown] [--out FILE.json]\n  c4cam bench-gate [--baseline FILE.json] [--short] [--out FILE.json]\n  c4cam help\n\nbench gate:\n  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON\n\nservice mode:\n  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP, coalescing concurrent requests into batched device runs; loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)\n\nfault injection (sweep/accuracy):\n  --fault-rate R,R,...       seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)\n  --fault-seed N             seed of the deterministic fault-site hash streams\n  --spare-rows N             spare rows per subarray for stuck-row remapping (accuracy only)\n  --vote K                   k-modular redundant-search voting (accuracy only)\n\ntelemetry (run/sweep/accuracy):\n  --trace-out PATH           write a Chrome trace-event JSON (load in Perfetto / chrome://tracing); a .jsonl extension selects JSON-lines instead\n  --metrics none|summary|full  append a per-phase/per-op metrics report to the output\n  --log-level off|summary|debug  stderr diagnostics (alias for the C4CAM_LOG environment variable)"
-    )
+    let mut out = String::from("usage:\n");
+    for form in Form::ALL {
+        out.push_str(&format!("  {}\n", form.synopsis()));
+    }
+    out.push_str("  c4cam help\n\n");
+    out.push_str(&format!(
+        "--engine NAME: {} (sweep takes a comma-separated list, an extra grid axis)\n",
+        BackendRegistry::global().names().join("|")
+    ));
+    out.push_str(USAGE_NOTES);
+    out
 }
+
+const USAGE_NOTES: &str = "a flag a command does not consume is a usage error (exit 2)
+
+bench gate:
+  bench-gate re-runs the search/engine microbenchmark workloads in-process and fails when any is more than 25% over the committed baseline (default BENCH_baseline.json), after scaling budgets by a host-calibration anchor; bless a new baseline with UPDATE_BASELINE=1 c4cam bench-gate; --short uses the small CI measurement window and --out writes the measurements as JSON
+
+service mode:
+  serve loads the dataset and compiles the default plan once, then answers line-delimited JSON classify requests over TCP, coalescing concurrent requests into batched device runs; loadgen drives a running server and reports sustained qps and p50/p90/p99 latency (--verify-dataset checks every response against the CPU reference exactly)
+
+fault injection (sweep/accuracy):
+  --fault-rate R,R,...       seeded device fault rates to evaluate (stuck-at + drift + transient; 0 = off)
+  --fault-seed N             seed of the deterministic fault-site hash streams
+  --spare-rows N             spare rows per subarray for stuck-row remapping (accuracy only)
+  --vote K                   k-modular redundant-search voting (accuracy only)
+
+telemetry (run/sweep/accuracy/serve):
+  --trace-out PATH           write a Chrome trace-event JSON (load in Perfetto / chrome://tracing); a .jsonl extension selects JSON-lines instead
+  --metrics none|summary|full  append a per-phase/per-op metrics report to the output
+  --log-level off|summary|debug  stderr diagnostics (alias for the C4CAM_LOG environment variable)";
 
 fn load_arch(path: &str) -> Result<ArchSpec, CliError> {
     let text = std::fs::read_to_string(path)
@@ -2535,19 +2348,13 @@ optimization: density
     }
 
     #[test]
-    fn emit_and_output_format_from_keyword_delegate_to_fromstr() {
-        assert_eq!(EmitStage::from_keyword("cam"), Some(EmitStage::Cam));
-        assert_eq!(EmitStage::from_keyword("wasm"), None);
+    fn emit_and_output_format_keywords_parse() {
+        assert_eq!("cam".parse::<EmitStage>().unwrap(), EmitStage::Cam);
         assert_eq!(
             "wasm".parse::<EmitStage>().unwrap_err().to_string(),
             "unknown --emit stage 'wasm' (expected torch|cim|cim-fused|partitioned|cam)"
         );
-        assert_eq!(OutputFormat::from_keyword("json"), Some(OutputFormat::Json));
-        assert_eq!(
-            OutputFormat::from_keyword("csv"),
-            None,
-            "run/place are text|json"
-        );
+        assert_eq!("json".parse::<OutputFormat>().unwrap(), OutputFormat::Json);
         assert_eq!(
             "csv".parse::<OutputFormat>().unwrap_err().to_string(),
             "unknown --format 'csv' (expected text|json)"
@@ -3562,5 +3369,200 @@ optimization: density
         assert!(parse_args(&strings(&["sweep", "--baseline", "b.json"])).is_err());
         assert!(parse_args(&strings(&["loadgen", "--addr", "h:1", "--short"])).is_err());
         assert!(usage().contains("bench-gate"));
+    }
+
+    /// A value each flag's parser accepts.
+    fn sample(name: &str) -> &'static str {
+        match name {
+            "--input" => "2x4",
+            "--param" => "w=2x4",
+            "--emit" => "cam",
+            "--dataset-format" => "csv",
+            "--workload" => "hdc",
+            "--engine" => "tape",
+            "--format" => "json",
+            "--opts" => "base",
+            "--techs" => "default",
+            "--fault-rate" => "0.5",
+            "--mode" => "closed",
+            "--metrics" => "summary",
+            "--log-level" => "debug",
+            _ => "1",
+        }
+    }
+
+    #[test]
+    fn flag_table_rows_are_well_formed() {
+        for (i, form) in Form::ALL.into_iter().enumerate() {
+            assert_eq!(form as usize, i, "Form::ALL is in declaration order");
+        }
+        for flag in FLAGS {
+            assert_eq!(flag.forms.len(), Form::ALL.len(), "{}", flag.name);
+            assert!(
+                flag.forms.bytes().all(|c| b"R+.".contains(&c)),
+                "{}",
+                flag.name
+            );
+            let switch = matches!(flag.arity, Arity::Switch);
+            assert_eq!(flag.meta.is_empty(), switch, "{}", flag.name);
+            // Rows sharing a name share an arity kind and never both
+            // apply to one form.
+            for other in FLAGS.iter().filter(|o| o.name == flag.name) {
+                assert_eq!(switch, matches!(other.arity, Arity::Switch));
+                if !std::ptr::eq(flag, other) {
+                    for form in Form::ALL {
+                        assert!(
+                            flag.column(form) == b'.' || other.column(form) == b'.',
+                            "{} has two rows for '{}'",
+                            flag.name,
+                            form.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_form_parses_exactly_the_flags_its_column_accepts() {
+        let mut names: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        for form in Form::ALL {
+            let mut base = vec![form.command().to_string()];
+            for flag in FLAGS.iter().filter(|f| f.column(form) == b'R') {
+                base.extend([flag.name.to_string(), sample(flag.name).to_string()]);
+            }
+            for &name in &names {
+                // A selector switches `run`/`sweep`/`loadgen` to their
+                // other form instead of being rejected.
+                let selects = Form::ALL
+                    .iter()
+                    .any(|f| f.command() == form.command() && f.selector() == Some(name));
+                if selects {
+                    continue;
+                }
+                let rows: Vec<&Flag> = FLAGS.iter().filter(|f| f.name == name).collect();
+                let accepted = rows.iter().any(|f| f.column(form) != b'.');
+                let mut args = base.clone();
+                args.push(name.to_string());
+                if !matches!(rows[0].arity, Arity::Switch) {
+                    args.push(sample(name).to_string());
+                }
+                if name == "--rate" {
+                    args.extend(["--mode".to_string(), "open".to_string()]);
+                }
+                match parse_args(&args) {
+                    Ok(_) => assert!(accepted, "{args:?} parsed"),
+                    Err(e) => {
+                        assert!(!accepted, "{args:?}: {e}");
+                        let expected = format!("{name} is not supported by '{}'", form.label());
+                        assert_eq!(e.message, expected);
+                    }
+                }
+            }
+        }
+        let e = parse_args(&strings(&["help", "--arch", "a"])).unwrap_err();
+        assert!(e.message.contains("is not supported by 'help'"), "{e}");
+    }
+
+    #[test]
+    fn every_accepted_flag_appears_in_its_forms_usage_line() {
+        let help = usage();
+        for form in Form::ALL {
+            let line = form.synopsis();
+            assert!(help.contains(&line), "{line}");
+            let words: Vec<&str> = line
+                .split_whitespace()
+                .map(|w| {
+                    w.trim_start_matches('[')
+                        .trim_end_matches("...")
+                        .trim_end_matches(']')
+                })
+                .collect();
+            for flag in FLAGS.iter().filter(|f| f.column(form) != b'.') {
+                assert!(words.contains(&flag.name), "{} missing: {line}", flag.name);
+            }
+            for word in words.iter().filter(|w| w.starts_with("--")) {
+                let accepted = FLAGS
+                    .iter()
+                    .any(|f| f.name == *word && f.column(form) != b'.');
+                assert!(accepted, "{word} is not accepted: {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn ci_smoke_and_benchmark_invocations_parse() {
+        let d = "examples/data/mini-mnist";
+        for args in [
+            vec![
+                "sweep",
+                "--subarrays",
+                "32,64",
+                "--opts",
+                "base,power",
+                "--queries",
+                "4",
+            ],
+            vec![
+                "accuracy",
+                "--dataset",
+                d,
+                "--format",
+                "csv",
+                "--limit",
+                "64",
+            ],
+            vec![
+                "accuracy",
+                "--dataset",
+                d,
+                "--limit",
+                "32",
+                "--fault-rate",
+                "0.01",
+            ],
+            vec![
+                "run",
+                "--dataset",
+                d,
+                "--limit",
+                "16",
+                "--trace-out",
+                "t.json",
+            ],
+            vec!["serve", "--dataset", d, "--threads", "2", "--port", "0"],
+            vec![
+                "loadgen",
+                "--addr",
+                "h:1",
+                "--requests",
+                "64",
+                "--concurrency",
+                "4",
+            ],
+            vec![
+                "loadgen",
+                "--addr",
+                "h:1",
+                "--verify-dataset",
+                d,
+                "--shutdown",
+            ],
+            vec!["bench-gate", "--short", "--out", "BENCH_gate.json"],
+            // The benchmark's served path starts its server with this list.
+            vec![
+                "serve",
+                "--dataset",
+                d,
+                "--workload",
+                "knn",
+                "--threads",
+                "1",
+            ],
+        ] {
+            assert!(parse_args(&strings(&args)).is_ok(), "{args:?}");
+        }
     }
 }
